@@ -122,61 +122,58 @@ void Checker::stop() {
 
 // --- wait-for graph ---------------------------------------------------------
 
-void Checker::note_delivery(rank_t dest) noexcept {
+void Checker::envelope_delivered(rank_t owner, const Envelope& env) {
   if (!options_.deadlock) return;
-  if (dest < 0 || dest >= world_size_) return;
-  epochs_[dest].fetch_add(1, std::memory_order_release);
+  if (owner >= 0 && owner < world_size_) {
+    epochs_[owner].fetch_add(1, std::memory_order_release);
+  }
+  if (env.src < 0 || env.src >= world_size_) return;
+  const std::lock_guard<std::mutex> lock(graph_mutex_);
+  BlockedEdge& edge = edges_[static_cast<std::size_t>(env.src)];
+  // A sender is visibly making progress; whatever it was spin-probing for,
+  // it is not stuck in that loop *now*.  Hard (blocking) edges are immune:
+  // a blocked rank cannot be sending.
+  if (edge.active && edge.soft) edge.active = false;
 }
 
-void Checker::block(rank_t waiter, rank_t waits_on, const char* op,
-                    context_t ctx, tag_t tag) {
+void Checker::wait_blocked(rank_t owner, const BlockedWait& wait) {
   if (!options_.deadlock) return;
-  if (waiter < 0 || waiter >= world_size_) return;
-  if (const char* scoped = ScopedCheckOp::current()) op = scoped;
+  if (owner < 0 || owner >= world_size_) return;
   const std::lock_guard<std::mutex> lock(graph_mutex_);
-  BlockedEdge& edge = edges_[static_cast<std::size_t>(waiter)];
+  BlockedEdge& edge = edges_[static_cast<std::size_t>(owner)];
   edge.active = true;
-  edge.waits_on = waits_on;
-  edge.op = op;
-  edge.context = ctx;
-  edge.tag = tag;
-  edge.seen_epoch = epochs_[waiter].load(std::memory_order_acquire);
+  edge.waits_on = wait.waits_on;
+  edge.op = wait.label;
+  edge.context = wait.context;
+  edge.tag = wait.tag;
+  edge.seen_epoch = epochs_[owner].load(std::memory_order_acquire);
   edge.soft = false;
   edge.spins = 0;
 }
 
-void Checker::refresh(rank_t waiter) noexcept {
+void Checker::wait_unblocked(rank_t owner, const BlockedWait& /*wait*/,
+                             std::uint64_t /*t1_ns*/) {
   if (!options_.deadlock) return;
-  if (waiter < 0 || waiter >= world_size_) return;
+  if (owner < 0 || owner >= world_size_) return;
   const std::lock_guard<std::mutex> lock(graph_mutex_);
-  BlockedEdge& edge = edges_[static_cast<std::size_t>(waiter)];
-  if (edge.active) {
-    edge.seen_epoch = epochs_[waiter].load(std::memory_order_acquire);
-  }
+  edges_[static_cast<std::size_t>(owner)].active = false;
 }
 
-void Checker::unblock(rank_t waiter) {
-  if (!options_.deadlock) return;
-  if (waiter < 0 || waiter >= world_size_) return;
-  const std::lock_guard<std::mutex> lock(graph_mutex_);
-  edges_[static_cast<std::size_t>(waiter)].active = false;
-}
-
-void Checker::iprobe_miss(rank_t owner, rank_t src, const char* op,
+void Checker::poll_missed(rank_t owner, rank_t source, const char* op,
                           context_t ctx, tag_t tag) {
   if (!options_.deadlock) return;
   if (owner < 0 || owner >= world_size_) return;
   const std::lock_guard<std::mutex> lock(graph_mutex_);
   BlockedEdge& edge = edges_[static_cast<std::size_t>(owner)];
-  const bool same_pattern = edge.active && edge.soft && edge.waits_on == src &&
-                            edge.context == ctx && edge.tag == tag &&
-                            std::string_view(edge.op) == op;
+  const bool same_pattern = edge.active && edge.soft &&
+                            edge.waits_on == source && edge.context == ctx &&
+                            edge.tag == tag && std::string_view(edge.op) == op;
   if (same_pattern) {
     edge.spins += 1;
   } else {
     edge.active = true;
     edge.soft = true;
-    edge.waits_on = src;
+    edge.waits_on = source;
     edge.op = op;
     edge.context = ctx;
     edge.tag = tag;
@@ -189,22 +186,11 @@ void Checker::iprobe_miss(rank_t owner, rank_t src, const char* op,
   edge.last_spin = std::chrono::steady_clock::now();
 }
 
-void Checker::iprobe_hit(rank_t owner) {
+void Checker::poll_hit(rank_t owner) {
   if (!options_.deadlock) return;
   if (owner < 0 || owner >= world_size_) return;
   const std::lock_guard<std::mutex> lock(graph_mutex_);
   BlockedEdge& edge = edges_[static_cast<std::size_t>(owner)];
-  if (edge.active && edge.soft) edge.active = false;
-}
-
-void Checker::note_send(rank_t src) {
-  if (!options_.deadlock) return;
-  if (src < 0 || src >= world_size_) return;
-  const std::lock_guard<std::mutex> lock(graph_mutex_);
-  BlockedEdge& edge = edges_[static_cast<std::size_t>(src)];
-  // A sender is visibly making progress; whatever it was spin-probing for,
-  // it is not stuck in that loop *now*.  Hard (blocking) edges are immune:
-  // a blocked rank cannot be sending.
   if (edge.active && edge.soft) edge.active = false;
 }
 
@@ -292,15 +278,15 @@ std::string Checker::format_cycle(const std::vector<rank_t>& cycle,
   return out.str();
 }
 
-std::optional<std::string> Checker::deadlock_cycle(rank_t rank) {
-  if (!options_.deadlock) return std::nullopt;
-  if (rank < 0 || rank >= world_size_) return std::nullopt;
+void Checker::wait_timed_out(rank_t owner) {
+  if (!options_.deadlock) return;
+  if (owner < 0 || owner >= world_size_) return;
   std::vector<rank_t> cycle;
   std::vector<BlockedEdge> snapshot;
   {
     const std::lock_guard<std::mutex> lock(graph_mutex_);
-    cycle = find_cycle_locked(rank);
-    if (cycle.empty()) return std::nullopt;
+    cycle = find_cycle_locked(owner);
+    if (cycle.empty()) return;
     snapshot = edges_;
   }
   // Format outside graph_mutex_: label_of takes the job's label lock.
@@ -309,7 +295,7 @@ std::optional<std::string> Checker::deadlock_cycle(rank_t rank) {
     const std::lock_guard<std::mutex> lock(report_mutex_);
     deadlocks_.push_back(text);
   }
-  return text;
+  throw DeadlockError(text);
 }
 
 void Checker::watch_loop() {
@@ -349,15 +335,15 @@ void Checker::watch_loop() {
 
 // --- type matching ----------------------------------------------------------
 
-std::optional<std::string> Checker::type_mismatch(
-    const TypeSig& sent, std::size_t payload_bytes, const TypeSig& expected,
-    std::size_t buffer_bytes, rank_t sender, rank_t receiver, context_t ctx,
-    tag_t tag) {
-  if (!options_.type_matching) return std::nullopt;
+std::exception_ptr Checker::envelope_matched(rank_t owner, const Envelope& env,
+                                             const TypeSig& expected,
+                                             std::size_t capacity,
+                                             bool /*posted*/) {
+  if (!options_.type_matching) return nullptr;
   // Raw/control traffic carries no signature; only verify when both the
   // send and the receive were typed.
-  if (!sent.present() || !expected.present()) return std::nullopt;
-  if (sent.matches(expected)) return std::nullopt;
+  if (!env.sig.present() || !expected.present()) return nullptr;
+  if (env.sig.matches(expected)) return nullptr;
   const auto side = [&](rank_t r, const TypeSig& sig, std::size_t bytes) {
     const std::string label = label_of(r);
     std::ostringstream out;
@@ -368,15 +354,16 @@ std::optional<std::string> Checker::type_mismatch(
     return out.str();
   };
   std::ostringstream out;
-  out << "send/recv element types disagree on (context=" << ctx
-      << ", tag=" << tag << "): sender " << side(sender, sent, payload_bytes)
-      << " vs receiver " << side(receiver, expected, buffer_bytes);
+  out << "send/recv element types disagree on (context=" << env.context
+      << ", tag=" << env.tag << "): sender "
+      << side(env.src, env.sig, env.payload.size()) << " vs receiver "
+      << side(owner, expected, capacity);
   std::string text = out.str();
   {
     const std::lock_guard<std::mutex> lock(report_mutex_);
     type_mismatches_.push_back(text);
   }
-  return text;
+  return std::make_exception_ptr(TypeMismatchError(text));
 }
 
 // --- collective consistency -------------------------------------------------
@@ -440,16 +427,17 @@ void Checker::note_comm_destroyed(rank_t world_rank) noexcept {
   live_comms_[world_rank].fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Checker::note_request_posted(rank_t world_rank) noexcept {
+void Checker::recv_posted(rank_t owner, rank_t /*source*/, context_t /*ctx*/,
+                          tag_t /*tag*/, std::size_t /*capacity*/) {
   if (!options_.leaks) return;
-  if (world_rank < 0 || world_rank >= world_size_) return;
-  outstanding_requests_[world_rank].fetch_add(1, std::memory_order_relaxed);
+  if (owner < 0 || owner >= world_size_) return;
+  outstanding_requests_[owner].fetch_add(1, std::memory_order_relaxed);
 }
 
-void Checker::note_request_consumed(rank_t world_rank) noexcept {
+void Checker::request_consumed(rank_t owner) {
   if (!options_.leaks) return;
-  if (world_rank < 0 || world_rank >= world_size_) return;
-  outstanding_requests_[world_rank].fetch_sub(1, std::memory_order_relaxed);
+  if (owner < 0 || owner >= world_size_) return;
+  outstanding_requests_[owner].fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Checker::record_drain(rank_t world_rank, std::size_t envelopes,

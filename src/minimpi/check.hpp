@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "src/minimpi/error.hpp"
+#include "src/minimpi/hooks.hpp"
 #include "src/minimpi/racer/atomic.hpp"
 #include "src/minimpi/types.hpp"
 
@@ -241,8 +242,9 @@ class ScopedCheckOp {
 // ---------------------------------------------------------------------------
 
 /// Central registry of the four checkers for one Job.  Thread safe; every
-/// hook is a cheap no-op for checkers that are off.
-class Checker {
+/// hook is a cheap no-op for checkers that are off.  The mailbox reaches it
+/// through the observer seam (hooks.hpp).
+class Checker final : public Observer {
  public:
   /// Sentinel count for collectives with legitimately rank-varying counts
   /// (gatherv, split, ...): excluded from the count comparison.
@@ -267,57 +269,37 @@ class Checker {
     return options_;
   }
 
-  // --- wait-for graph (all calls under the waiter's mailbox mutex) ---------
+  // --- Observer events (all under the owner's mailbox mutex) --------------
 
-  /// Advance `dest`'s delivery epoch (every Mailbox::deliver, any payload).
-  void note_delivery(rank_t dest) noexcept;
-
-  /// Register that `waiter` is blocked waiting for a message from
-  /// `waits_on` (world rank, possibly any_source).  `op` falls back to the
-  /// thread's ScopedCheckOp label when one is set.
-  void block(rank_t waiter, rank_t waits_on, const char* op, context_t ctx,
-             tag_t tag);
-
-  /// Record that `waiter` has processed every delivery so far and still
-  /// matches nothing.  Called each time its wait predicate fails.
-  void refresh(rank_t waiter) noexcept;
-
-  /// Remove `waiter`'s edge (wait completed or unwound).
-  void unblock(rank_t waiter);
-
-  /// Register a nonblocking miss — iprobe with no matching message, or
-  /// test() on an incomplete request — as a *soft* wait-for edge.  Soft
-  /// edges only participate in cycle detection once the owner has missed
-  /// the same pattern at least twice in a row (it is spinning, not merely
-  /// glancing) and the miss is recent; they are invalidated by any send
-  /// the owner issues (note_send), by a hit, and by ordinary blocking.
-  /// This is how probe/test spin loops get reported as deadlock cycles
-  /// instead of timing out.  `op` labels the edge ("iprobe"/"test").
-  void iprobe_miss(rank_t owner, rank_t src, const char* op, context_t ctx,
-                   tag_t tag);
-
-  /// The owner's nonblocking probe/test found something: clear its soft
-  /// edge.
-  void iprobe_hit(rank_t owner);
-
-  /// `src` delivered a message somewhere: it is making progress, so any
-  /// soft (spin) edge it holds is stale.  Called under the destination
-  /// mailbox's mutex on every delivery.
-  void note_send(rank_t src);
-
-  /// Confirmed wait-for cycle through `rank`, formatted; nullopt when the
-  /// graph has none (or deadlock checking is off).
-  [[nodiscard]] std::optional<std::string> deadlock_cycle(rank_t rank);
-
-  // --- type matching --------------------------------------------------------
-
-  /// Compare a matched envelope's signature against the receive's
-  /// expectation.  Returns the formatted mismatch (also recorded in the
-  /// report) or nullopt when compatible / either side untyped.
-  [[nodiscard]] std::optional<std::string> type_mismatch(
-      const TypeSig& sent, std::size_t payload_bytes, const TypeSig& expected,
-      std::size_t buffer_bytes, rank_t sender, rank_t receiver, context_t ctx,
-      tag_t tag);
+  /// Advances `owner`'s delivery epoch and clears any soft edge the sender
+  /// holds (it is visibly making progress).
+  void envelope_delivered(rank_t owner, const Envelope& env) override;
+  /// Type matching: returns (and records) the TypeMismatchError, or null
+  /// when compatible or either side is untyped.
+  std::exception_ptr envelope_matched(rank_t owner, const Envelope& env,
+                                      const TypeSig& expected,
+                                      std::size_t capacity,
+                                      bool posted) override;
+  /// The wait-for edge owner -> wait.waits_on (possibly any_source),
+  /// (re)registered at the current epoch, and removed.
+  void wait_blocked(rank_t owner, const BlockedWait& wait) override;
+  void wait_unblocked(rank_t owner, const BlockedWait& wait,
+                      std::uint64_t t1_ns) override;
+  /// Timeout upgrade: throws DeadlockError when the owner sits on a
+  /// confirmed wait-for cycle.
+  void wait_timed_out(rank_t owner) override;
+  /// A nonblocking miss (iprobe, test) is a *soft* wait-for edge.  It joins
+  /// cycle detection only once the owner has missed the same pattern twice
+  /// in a row (spinning, not glancing) and recently; any send the owner
+  /// issues, a hit, or ordinary blocking invalidates it.  This is how
+  /// probe/test spin loops get reported as deadlock cycles.
+  void poll_missed(rank_t owner, rank_t source, const char* op, context_t ctx,
+                   tag_t tag) override;
+  void poll_hit(rank_t owner) override;
+  /// Leak audit: a posted receive's request is outstanding until consumed.
+  void recv_posted(rank_t owner, rank_t source, context_t ctx, tag_t tag,
+                   std::size_t capacity) override;
+  void request_consumed(rank_t owner) override;
 
   // --- collective consistency ----------------------------------------------
 
@@ -332,8 +314,6 @@ class Checker {
 
   void note_comm_created(rank_t world_rank) noexcept;
   void note_comm_destroyed(rank_t world_rank) noexcept;
-  void note_request_posted(rank_t world_rank) noexcept;
-  void note_request_consumed(rank_t world_rank) noexcept;
 
   /// Fold one mailbox drain into the per-rank leak accounting (called by
   /// Job::drain_all and Mph::finalize; accumulating, so draining twice

@@ -3,12 +3,31 @@
 #include <algorithm>
 #include <cstdint>
 #include <thread>
+#include <utility>
 
 namespace minimpi {
 
 // ---------------------------------------------------------------------------
 // Request
 // ---------------------------------------------------------------------------
+
+Request& Request::operator=(Request&& other) noexcept {
+  if (this != &other) {
+    release();
+    state_ = std::move(other.state_);
+    ticket_ = std::move(other.ticket_);
+    immediate_ = other.immediate_;
+    immediate_done_ = std::exchange(other.immediate_done_, false);
+  }
+  return *this;
+}
+
+void Request::release() noexcept {
+  if (ticket_ != nullptr && state_ != nullptr) {
+    state_->mailbox().detach(ticket_);
+  }
+  ticket_.reset();
+}
 
 Status Request::wait() {
   if (immediate_done_) {
@@ -18,16 +37,10 @@ Status Request::wait() {
   if (ticket_ == nullptr || state_ == nullptr) {
     throw Error(Errc::invalid_argument, "wait on an invalid/consumed request");
   }
-  Mailbox& box = state_->job->mailbox(state_->to_global[static_cast<std::size_t>(
-      state_->my_rank)]);
-  Status status = box.wait(ticket_, state_->job->deadline());
-  // Translate the envelope's world source into the communicator's ranks.
-  if (status.source >= 0 &&
-      status.source < static_cast<rank_t>(state_->to_local.size())) {
-    status.source = state_->to_local[static_cast<std::size_t>(status.source)];
-  }
+  const Status status =
+      state_->mailbox().wait(ticket_, state_->job->deadline());
   ticket_.reset();
-  return status;
+  return state_->localized(status);
 }
 
 bool Request::test(Status* out) {
@@ -38,15 +51,9 @@ bool Request::test(Status* out) {
   if (ticket_ == nullptr || state_ == nullptr) {
     throw Error(Errc::invalid_argument, "test on an invalid/consumed request");
   }
-  Mailbox& box = state_->job->mailbox(state_->to_global[static_cast<std::size_t>(
-      state_->my_rank)]);
   Status status;
-  if (!box.test(ticket_, &status)) return false;
-  if (status.source >= 0 &&
-      status.source < static_cast<rank_t>(state_->to_local.size())) {
-    status.source = state_->to_local[static_cast<std::size_t>(status.source)];
-  }
-  if (out != nullptr) *out = status;
+  if (!state_->mailbox().test(ticket_, &status)) return false;
+  if (out != nullptr) *out = state_->localized(status);
   return true;
 }
 
@@ -123,7 +130,7 @@ detail::CommState::~CommState() {
   if (Checker* ck = job->checker()) {
     if (my_rank >= 0 &&
         my_rank < static_cast<rank_t>(to_global.size())) {
-      ck->note_comm_destroyed(to_global[static_cast<std::size_t>(my_rank)]);
+      ck->note_comm_destroyed(my_world());
     }
   }
 }
@@ -214,6 +221,11 @@ rank_t Comm::require_member_global(rank_t local, const char* what) const {
   return st.to_global[static_cast<std::size_t>(local)];
 }
 
+rank_t Comm::source_global(rank_t source) const {
+  return source == any_source ? any_source
+                              : require_member_global(source, "source");
+}
+
 void Comm::check_user_tag(tag_t tag) {
   if (tag < 0 || tag > kMaxUserTag) {
     throw Error(Errc::invalid_tag,
@@ -244,22 +256,18 @@ void Comm::check_collective(const char* op, rank_t root, std::uint64_t count,
   // it, so all members of the same invocation land on the same slot.
   ck->on_collective(st.context, st.to_global.front(), st.collective_seq, op,
                     root, count, elem_size,
-                    static_cast<int>(st.to_global.size()),
-                    st.to_global[static_cast<std::size_t>(st.my_rank)]);
+                    static_cast<int>(st.to_global.size()), st.my_world());
 }
 
 void Comm::fault_point(KillPoint point) const {
   detail::CommState& st = state();
-  if (FaultInjector* f = st.job->faults()) {
-    f->on_point(point, st.to_global[static_cast<std::size_t>(st.my_rank)]);
-  }
+  if (FaultInjector* f = st.job->faults()) f->on_point(point, st.my_world());
 }
 
 void Comm::fault_checkpoint(std::uint64_t step) const {
   detail::CommState& st = state();
   if (FaultInjector* f = st.job->faults()) {
-    f->on_point(KillPoint::step,
-                st.to_global[static_cast<std::size_t>(st.my_rank)], step);
+    f->on_point(KillPoint::step, st.my_world(), step);
   }
 }
 
@@ -274,16 +282,11 @@ void Comm::send_raw(std::span<const std::byte> bytes, rank_t dest, tag_t tag,
   fault_point(KillPoint::before_send);
   Envelope env;
   env.context = st.context;
-  env.src = st.to_global[static_cast<std::size_t>(st.my_rank)];
+  env.src = st.my_world();
   env.tag = tag;
   env.sig = sig;
   env.payload.assign(bytes.begin(), bytes.end());
   st.job->count_message(env.payload.size());
-  if (Tracer* tr = st.job->tracer()) {
-    env.flow = tr->next_flow(env.src);
-    tr->instant(env.src, TraceOp::send, "send", dest_global, st.context, tag,
-                env.payload.size(), env.flow);
-  }
   st.job->mailbox(dest_global).deliver(std::move(env));
   fault_point(KillPoint::after_send);
 }
@@ -291,33 +294,23 @@ void Comm::send_raw(std::span<const std::byte> bytes, rank_t dest, tag_t tag,
 Status Comm::recv_raw(std::span<std::byte> buffer, rank_t source, tag_t tag,
                       TypeSig expected) const {
   detail::CommState& st = state();
-  const rank_t src_global =
-      source == any_source ? any_source
-                           : require_member_global(source, "source");
+  const rank_t src_global = source_global(source);
   fault_point(KillPoint::before_recv);
-  Mailbox& box =
-      st.job->mailbox(st.to_global[static_cast<std::size_t>(st.my_rank)]);
-  Status status = box.recv(st.context, src_global, tag, buffer,
-                           st.job->deadline(), expected);
+  const Status status = st.mailbox().recv(st.context, src_global, tag, buffer,
+                                          st.job->deadline(), expected);
   fault_point(KillPoint::after_recv);
-  status.source = st.to_local[static_cast<std::size_t>(status.source)];
-  return status;
+  return st.localized(status);
 }
 
 std::pair<Status, std::vector<std::byte>> Comm::recv_take_raw(
     rank_t source, tag_t tag, TypeSig expected) const {
   detail::CommState& st = state();
-  const rank_t src_global =
-      source == any_source ? any_source
-                           : require_member_global(source, "source");
+  const rank_t src_global = source_global(source);
   fault_point(KillPoint::before_recv);
-  Mailbox& box =
-      st.job->mailbox(st.to_global[static_cast<std::size_t>(st.my_rank)]);
-  auto [status, payload] = box.recv_take(st.context, src_global, tag,
-                                         st.job->deadline(), expected);
+  auto [status, payload] = st.mailbox().recv_take(
+      st.context, src_global, tag, st.job->deadline(), expected);
   fault_point(KillPoint::after_recv);
-  status.source = st.to_local[static_cast<std::size_t>(status.source)];
-  return {status, std::move(payload)};
+  return {st.localized(status), std::move(payload)};
 }
 
 Request Comm::isend_raw(std::span<const std::byte> bytes, rank_t dest,
@@ -334,15 +327,12 @@ Request Comm::isend_raw(std::span<const std::byte> bytes, rank_t dest,
 Request Comm::irecv_raw(std::span<std::byte> buffer, rank_t source, tag_t tag,
                         TypeSig expected) const {
   detail::CommState& st = state();
-  const rank_t src_global =
-      source == any_source ? any_source
-                           : require_member_global(source, "source");
+  const rank_t src_global = source_global(source);
   fault_point(KillPoint::before_recv);
-  Mailbox& box =
-      st.job->mailbox(st.to_global[static_cast<std::size_t>(st.my_rank)]);
   Request r;
   r.state_ = s_;
-  r.ticket_ = box.post_recv(st.context, src_global, tag, buffer, expected);
+  r.ticket_ =
+      st.mailbox().post_recv(st.context, src_global, tag, buffer, expected);
   return r;
 }
 
@@ -357,28 +347,16 @@ Status Comm::sendrecv_raw(std::span<const std::byte> send_bytes, rank_t dest,
 
 Status Comm::probe(rank_t source, tag_t tag) const {
   detail::CommState& st = state();
-  const rank_t src_global =
-      source == any_source ? any_source
-                           : require_member_global(source, "source");
-  Mailbox& box =
-      st.job->mailbox(st.to_global[static_cast<std::size_t>(st.my_rank)]);
-  Status status = box.probe(st.context, src_global, tag, st.job->deadline());
-  status.source = st.to_local[static_cast<std::size_t>(status.source)];
-  return status;
+  return st.localized(st.mailbox().probe(st.context, source_global(source),
+                                         tag, st.job->deadline()));
 }
 
 std::optional<Status> Comm::iprobe(rank_t source, tag_t tag) const {
   detail::CommState& st = state();
-  const rank_t src_global =
-      source == any_source ? any_source
-                           : require_member_global(source, "source");
-  Mailbox& box =
-      st.job->mailbox(st.to_global[static_cast<std::size_t>(st.my_rank)]);
-  std::optional<Status> status = box.iprobe(st.context, src_global, tag);
-  if (status.has_value()) {
-    status->source = st.to_local[static_cast<std::size_t>(status->source)];
-  }
-  return status;
+  const std::optional<Status> status =
+      st.mailbox().iprobe(st.context, source_global(source), tag);
+  if (!status.has_value()) return std::nullopt;
+  return st.localized(*status);
 }
 
 // ---------------------------------------------------------------------------
@@ -399,9 +377,7 @@ Comm Comm::split(int color, int key) const {
   // op/root consistency is checked.
   check_collective("split", -1, Checker::kUncheckedCount, 0);
   const ScopedCheckOp op("split");
-  const TraceSpan span(state().job->tracer(),
-                       state().to_global[static_cast<std::size_t>(
-                           state().my_rank)],
+  const TraceSpan span(state().job->tracer(), state().my_world(),
                        TraceOp::collective, "split");
   fault_point(KillPoint::before_split);
   Comm result = split_impl(color, key);
@@ -413,7 +389,7 @@ Comm Comm::split_impl(int color, int key) const {
   detail::CommState& st = state();
   const tag_t tag = next_collective_tag();
   const int n = static_cast<int>(st.to_global.size());
-  const rank_t my_world = st.to_global[static_cast<std::size_t>(st.my_rank)];
+  const rank_t my_world = st.my_world();
 
   // Phase 1: local rank 0 gathers every member's (color, key).
   // Phase 2: rank 0 allocates one fresh context (children are disjoint, so
@@ -491,13 +467,11 @@ Comm Comm::dup() const {
   check_collective("dup", 0, 1, sizeof(context_t));
   const ScopedCheckOp op("dup");
   detail::CommState& st = state();
-  const TraceSpan span(
-      st.job->tracer(),
-      st.to_global[static_cast<std::size_t>(st.my_rank)],
-      TraceOp::collective, "dup");
+  const TraceSpan span(st.job->tracer(), st.my_world(), TraceOp::collective,
+                       "dup");
   const tag_t tag = next_collective_tag();
   const int n = static_cast<int>(st.to_global.size());
-  const rank_t my_world = st.to_global[static_cast<std::size_t>(st.my_rank)];
+  const rank_t my_world = st.my_world();
   context_t ctx = 0;
   if (st.my_rank == 0) {
     ctx = st.job->allocate_context(my_world);
@@ -535,7 +509,7 @@ Comm Comm::create_ordered_world(std::span<const rank_t> world_ranks) const {
   if (world_ranks.empty()) {
     throw Error(Errc::invalid_argument, "create_ordered_world: empty group");
   }
-  const rank_t my_world = st.to_global[static_cast<std::size_t>(st.my_rank)];
+  const rank_t my_world = st.my_world();
   const rank_t leader = world_ranks.front();
   const tag_t ctx_tag = kControlTagBase + 1;
 
@@ -548,10 +522,9 @@ Comm Comm::create_ordered_world(std::span<const rank_t> world_ranks) const {
           std::as_bytes(std::span<const context_t>(&ctx, 1)));
     }
   } else {
-    Mailbox& box = st.job->mailbox(my_world);
-    box.recv(kWorldContext, leader, ctx_tag,
-             std::as_writable_bytes(std::span<context_t>(&ctx, 1)),
-             st.job->deadline());
+    st.mailbox().recv(kWorldContext, leader, ctx_tag,
+                      std::as_writable_bytes(std::span<context_t>(&ctx, 1)),
+                      st.job->deadline());
   }
   return from_group(st.job, ctx,
                     std::vector<rank_t>(world_ranks.begin(), world_ranks.end()),

@@ -45,6 +45,21 @@ struct CommState {
   /// Releases the communicator in the leak audit (world handles are
   /// substrate-owned and not audited).
   ~CommState();
+
+  /// This rank's world rank, and its mailbox.
+  [[nodiscard]] rank_t my_world() const {
+    return to_global[static_cast<std::size_t>(my_rank)];
+  }
+  [[nodiscard]] Mailbox& mailbox() const { return job->mailbox(my_world()); }
+
+  /// `status` with its (world) source translated to this communicator.
+  [[nodiscard]] Status localized(Status status) const {
+    if (status.source >= 0 &&
+        status.source < static_cast<rank_t>(to_local.size())) {
+      status.source = to_local[static_cast<std::size_t>(status.source)];
+    }
+    return status;
+  }
 };
 }  // namespace detail
 
@@ -52,9 +67,21 @@ struct CommState {
 /// complete at initiation; receives complete when a matching message is
 /// delivered.  Status sources are reported in the initiating communicator's
 /// local ranks.
+///
+/// A Request is move-only: it owns its receive.  Destroying one whose
+/// posted receive was never waited, tested complete or cancelled (dropped,
+/// or left behind by a rank unwinding between irecv and wait) detaches the
+/// buffer: the receive still matches the next envelope in MPI order, whose
+/// payload is discarded, so a buffer freed by the unwind is never written.
+/// The leak audit still reports the receive and its request.
 class Request {
  public:
   Request() = default;
+  Request(Request&& other) noexcept { *this = std::move(other); }
+  Request& operator=(Request&& other) noexcept;
+  Request(const Request&) = delete;
+  Request& operator=(const Request&) = delete;
+  ~Request() { release(); }
 
   [[nodiscard]] bool valid() const noexcept {
     return immediate_done_ || ticket_ != nullptr;
@@ -81,6 +108,10 @@ class Request {
 
  private:
   friend class Comm;
+
+  /// Detach an unconsumed posted receive (see the class comment).
+  void release() noexcept;
+
   std::shared_ptr<detail::CommState> state_;  ///< for deadline + translation
   std::shared_ptr<RecvTicket> ticket_;        ///< null for immediate ops
   Status immediate_{};
@@ -284,6 +315,8 @@ class Comm {
   [[nodiscard]] Comm split_impl(int color, int key) const;
   [[nodiscard]] rank_t require_member_global(rank_t local,
                                              const char* what) const;
+  /// World rank of a receive's `source` (any_source passes through).
+  [[nodiscard]] rank_t source_global(rank_t source) const;
   static void check_user_tag(tag_t tag);
   static void check_user_tag_or_any(tag_t tag);
 

@@ -83,8 +83,10 @@ FaultPlan FaultPlan::chaos_kill(std::uint64_t seed, int world_size) {
   return plan;
 }
 
-FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed)
+FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed,
+                             Observer* observer)
     : plan_(std::move(plan)),
+      observer_(observer),
       rng_(seed),
       visits_(plan_.rules().size(), 0),
       fired_(plan_.rules().size(), false) {}
@@ -113,18 +115,18 @@ void FaultInjector::on_point(KillPoint point, rank_t world_rank,
     }
   }
   if (fire_index < rules.size()) {
-    if (tracer_ != nullptr) {
-      tracer_->instant(world_rank, TraceOp::fault, kill_point_name(point));
+    if (observer_ != nullptr) {
+      observer_->fault_fired(world_rank, kill_point_name(point), any_source,
+                             kWorldContext, any_tag, 0);
     }
-    if (metrics_ != nullptr) metrics_->on_fault(world_rank);
     throw FaultInjectedError(point, world_rank);
   }
 }
 
-FaultInjector::Filter FaultInjector::filter(Envelope& env, rank_t dest_world) {
+bool FaultInjector::admit(Envelope& env, rank_t dest_world) {
   const std::vector<FaultRule>& rules = plan_.rules();
   std::chrono::milliseconds sleep_for{0};
-  Filter verdict = Filter::deliver;
+  bool deliver = true;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t i = 0; i < rules.size(); ++i) {
@@ -134,18 +136,16 @@ FaultInjector::Filter FaultInjector::filter(Envelope& env, rank_t dest_world) {
       if (!rule.match.matches(env, dest_world)) continue;
       if (++visits_[i] < rule.hit) continue;
       fired_[i] = true;
+      const char* name = "";
+      std::uint64_t detail = 0;  // bytes, or milliseconds delayed
+      std::string what;
       switch (rule.action) {
         case FaultRule::Action::drop:
-          verdict = Filter::drop;
-          events_.push_back(FaultEvent{
-              i, dest_world,
-              "drop envelope src=" + std::to_string(env.src) +
-                  " tag=" + std::to_string(env.tag)});
-          if (tracer_ != nullptr) {
-            tracer_->instant(env.src, TraceOp::fault, "drop", dest_world,
-                             env.context, env.tag, env.payload.size());
-          }
-          if (metrics_ != nullptr) metrics_->on_fault(env.src);
+          deliver = false;
+          name = "drop";
+          detail = env.payload.size();
+          what = "drop envelope src=" + std::to_string(env.src) +
+                 " tag=" + std::to_string(env.tag);
           break;
         case FaultRule::Action::delay: {
           std::chrono::milliseconds total = rule.delay;
@@ -154,36 +154,30 @@ FaultInjector::Filter FaultInjector::filter(Envelope& env, rank_t dest_world) {
                 0, static_cast<std::int64_t>(rule.delay_jitter.count())));
           }
           sleep_for += total;
-          events_.push_back(FaultEvent{
-              i, dest_world,
-              "delay envelope src=" + std::to_string(env.src) + " by " +
-                  std::to_string(total.count()) + "ms"});
-          if (tracer_ != nullptr) {
-            tracer_->instant(env.src, TraceOp::fault, "delay", dest_world,
-                             env.context, env.tag,
-                             static_cast<std::uint64_t>(total.count()));
-          }
-          if (metrics_ != nullptr) metrics_->on_fault(env.src);
+          name = "delay";
+          detail = static_cast<std::uint64_t>(total.count());
+          what = "delay envelope src=" + std::to_string(env.src) + " by " +
+                 std::to_string(total.count()) + "ms";
           break;
         }
         case FaultRule::Action::truncate:
           if (env.payload.size() > rule.truncate_to) {
             env.payload.resize(rule.truncate_to);
           }
-          events_.push_back(FaultEvent{
-              i, dest_world,
-              "truncate envelope src=" + std::to_string(env.src) + " to " +
-                  std::to_string(rule.truncate_to) + " bytes"});
-          if (tracer_ != nullptr) {
-            tracer_->instant(env.src, TraceOp::fault, "truncate", dest_world,
-                             env.context, env.tag, rule.truncate_to);
-          }
-          if (metrics_ != nullptr) metrics_->on_fault(env.src);
+          name = "truncate";
+          detail = rule.truncate_to;
+          what = "truncate envelope src=" + std::to_string(env.src) + " to " +
+                 std::to_string(rule.truncate_to) + " bytes";
           break;
         case FaultRule::Action::kill:
           break;
       }
-      if (verdict == Filter::drop) break;  // dropped: later rules moot
+      events_.push_back(FaultEvent{i, dest_world, std::move(what)});
+      if (observer_ != nullptr) {
+        observer_->fault_fired(env.src, name, dest_world, env.context,
+                               env.tag, detail);
+      }
+      if (!deliver) break;  // dropped: later rules moot
     }
   }
   // Sleep outside the lock so a delay rule never stalls other injections.
@@ -193,7 +187,7 @@ FaultInjector::Filter FaultInjector::filter(Envelope& env, rank_t dest_world) {
       !virtual_time_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(sleep_for);
   }
-  return verdict;
+  return deliver;
 }
 
 std::vector<FaultEvent> FaultInjector::events() const {

@@ -174,23 +174,17 @@ class FaultPlan {
 };
 
 /// Runtime state of a plan within one Job.  Thread safe: rank threads call
-/// on_point/filter concurrently.
-class FaultInjector {
+/// on_point/admit concurrently.  The mailbox reaches it through the
+/// interposer seam (hooks.hpp).
+class FaultInjector final : public Interposer {
  public:
   /// `seed` feeds the injector's private random stream (delay jitter);
   /// the Job passes its resolved job seed so a replayed seed reproduces
-  /// the exact same jitter values.
-  explicit FaultInjector(FaultPlan plan, std::uint64_t seed = 0);
-
-  /// Attach the job's event tracer (null = off): fired rules additionally
-  /// record fault instants on the victim/sender rank's timeline.  Called
-  /// once at Job construction, before any rank thread starts.
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Attach the job's metrics registry (null = monitoring off): fired rules
-  /// bump the victim/sender rank's fault counter so the live monitor shows
-  /// injected faults as they land.  Called once at Job construction.
-  void set_metrics(MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
+  /// the exact same jitter values.  `observer` is the job's observer seam
+  /// (null = none): every fired rule is reported there as fault_fired on
+  /// the victim/sender rank — a trace instant and a metrics fault count.
+  explicit FaultInjector(FaultPlan plan, std::uint64_t seed = 0,
+                         Observer* observer = nullptr);
 
   /// Virtual-time mode: delay rules fire (and are recorded in events())
   /// but never actually sleep.  The verify scheduler enables this — under
@@ -205,12 +199,11 @@ class FaultInjector {
   /// `step` is only meaningful for KillPoint::step.
   void on_point(KillPoint point, rank_t world_rank, std::uint64_t step = 0);
 
-  enum class Filter { deliver, drop };
-
-  /// Envelope hook, called by Mailbox::deliver in the *sender's* thread
-  /// before the destination mailbox is locked.  May sleep (delay rules) and
-  /// may shrink `env.payload` (truncate rules).
-  Filter filter(Envelope& env, rank_t dest_world);
+  /// Envelope rules, run by Mailbox::deliver in the *sender's* thread
+  /// before the destination mailbox is locked: returns false when a drop
+  /// rule fired.  May sleep (delay rules) and may shrink `env.payload`
+  /// (truncate rules).
+  bool admit(Envelope& env, rank_t dest_world) override;
 
   /// Everything that fired so far.
   [[nodiscard]] std::vector<FaultEvent> events() const;
@@ -218,8 +211,7 @@ class FaultInjector {
  private:
   mutable std::mutex mutex_;
   FaultPlan plan_;
-  Tracer* tracer_ = nullptr;  ///< job's event tracer (null = tracing off)
-  MetricsRegistry* metrics_ = nullptr;  ///< job's registry (null = off)
+  Observer* observer_;                 ///< job's observer seam (null = none)
   mph::util::Rng rng_;                 ///< jitter stream (guarded by mutex_)
   mph::atomic<bool> virtual_time_{false};
   std::vector<std::uint64_t> visits_;  ///< per-rule matching-visit counts

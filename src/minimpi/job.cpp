@@ -30,19 +30,15 @@ Job::Job(int world_size, JobOptions options)
   // replay byte-identically; drawing a fresh OS seed throws while the
   // entropy ban is armed (a verify run forgot to pin the seed).
   seed_ = options_.seed != 0 ? options_.seed : mph::util::fresh_entropy_seed();
-  if (!options_.faults.empty()) {
-    faults_ = std::make_unique<FaultInjector>(options_.faults, seed_);
-    if (verify_) faults_->set_virtual_time(true);
-  }
   options_.check = options_.check.merged_with_env();
   if (options_.check.any()) {
     checker_ = std::make_unique<Checker>(options_.check, world_size);
   }
   options_.trace = options_.trace.merged_with_env();
   if (options_.trace.enabled) {
-    tracer_ = std::make_unique<Tracer>(world_size, options_.trace);
-    if (faults_ != nullptr) faults_->set_tracer(tracer_.get());
+    tracer_ = std::make_unique<Tracer>(world_size, options_.trace, clock_);
   }
+  clock_ = JobClock{};  // after the trace rings' set-up: busy time starts here
   options_.monitor = options_.monitor.merged_with_env();
   options_.watch = options_.watch.merged_with_env();
   if (options_.watch.enabled &&
@@ -54,8 +50,7 @@ Job::Job(int world_size, JobOptions options)
   }
   if (options_.monitor.enabled || options_.watch.enabled) {
     // Watching implies collecting: the rules are functions of snapshots.
-    metrics_ = std::make_unique<MetricsRegistry>(world_size);
-    if (faults_ != nullptr) faults_->set_metrics(metrics_.get());
+    metrics_ = std::make_unique<MetricsRegistry>(world_size, clock_);
   }
   if (options_.watch.enabled) {
     watcher_ = std::make_unique<watch::Watcher>(options_.watch);
@@ -73,11 +68,20 @@ Job::Job(int world_size, JobOptions options)
       rank_next_context_[i].store(0, std::memory_order_relaxed);
     }
   }
+  // The seams (hooks.hpp); faults precede the scheduler, so drops skip it.
+  observer_ = wire_observers(
+      {checker_.get(), tracer_.get(), metrics_.get(), sched},
+      observer_fan_out_);
+  if (!options_.faults.empty()) {
+    faults_ = std::make_unique<FaultInjector>(options_.faults, seed_,
+                                              observer_);
+    if (verify_) faults_->set_virtual_time(true);
+  }
+  interposer_ = wire_interposers({faults_.get(), sched}, interposer_fan_out_);
   mailboxes_.reserve(static_cast<std::size_t>(world_size));
   for (int i = 0; i < world_size; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>(
-        abort_flag_, abort_reason_, i, faults_.get(), checker_.get(), sched,
-        tracer_.get(), metrics_.get()));
+        abort_flag_, abort_reason_, i, observer_, interposer_, clock_));
   }
   rank_labels_.assign(static_cast<std::size_t>(world_size), std::string{});
   rank_failed_ =
@@ -323,17 +327,11 @@ void Job::control_send(rank_t src_world, rank_t dest_world, tag_t control_tag,
   if (control_tag < kControlTagBase) {
     throw Error(Errc::internal, "control_send requires a control-range tag");
   }
-  Envelope env;
-  env.context = kWorldContext;
+  Envelope env;  // world context
   env.src = src_world;
   env.tag = control_tag;
   env.payload.assign(bytes.begin(), bytes.end());
   count_message(env.payload.size());
-  if (tracer_ != nullptr) {
-    env.flow = tracer_->next_flow(src_world);
-    tracer_->instant(src_world, TraceOp::send, "control_send", dest_world,
-                     kWorldContext, control_tag, env.payload.size(), env.flow);
-  }
   mailbox(dest_world).deliver(std::move(env));
 }
 
@@ -359,7 +357,7 @@ MetricsSnapshot Job::metrics_snapshot() const {
   MetricsSnapshot snap;
   if (metrics_ == nullptr) return snap;
   snap.seq = metrics_->next_seq();
-  snap.t_ns = metrics_->now_ns();
+  snap.t_ns = clock_.now_ns();
   snap.wall_ms = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())

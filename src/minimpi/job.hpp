@@ -138,12 +138,11 @@ class Job {
   /// The job's mpicheck registry, or null when every checker is off.
   [[nodiscard]] Checker* checker() const noexcept { return checker_.get(); }
 
-  /// The job's event tracer, or null when tracing is off — every
-  /// instrumentation point branches on this pointer and nothing else.
+  /// The job's event tracer, or null when tracing is off.
   [[nodiscard]] Tracer* tracer() const noexcept { return tracer_.get(); }
 
   /// The job's metrics registry, or null when monitoring is off — the same
-  /// single-null-check discipline as tracer().
+  /// discipline as tracer().
   [[nodiscard]] MetricsRegistry* metrics() const noexcept {
     return metrics_.get();
   }
@@ -159,6 +158,10 @@ class Job {
   [[nodiscard]] Scheduler* scheduler() const noexcept {
     return options_.scheduler.get();
   }
+
+  /// The job clock: trace timestamps, metric latencies, snapshot times and
+  /// MPH phase durations are all nanoseconds since its one epoch.
+  [[nodiscard]] const JobClock& clock() const noexcept { return clock_; }
 
   /// The resolved job seed (JobOptions::seed, or the fresh OS seed drawn
   /// when that was 0).  All job-owned randomness derives from it.
@@ -317,21 +320,22 @@ class Job {
   };
 
   int world_size_;
-  // Declared before the mailboxes: options_ holds the scheduler and every
-  // Mailbox a raw Scheduler*, so it must outlive them (members destroy in
-  // reverse order).
+  JobClock clock_;
+  // Every layer is declared before the seams, and the seams before the
+  // mailboxes (members destroy in reverse order): a seam points at the
+  // layers, and every Mailbox — and the fault injector — holds raw seam
+  // pointers.  options_ holds the scheduler.
   JobOptions options_;
   std::uint64_t seed_ = 0;  ///< resolved job seed (see seed())
   bool verify_ = false;     ///< scheduler present and verifying
-  std::unique_ptr<FaultInjector> faults_;
-  // Likewise declared before the mailboxes: every Mailbox holds a raw
-  // Checker*, so the checker must outlive them.
   std::unique_ptr<Checker> checker_;
-  // Likewise: every Mailbox (and the fault injector) holds a raw Tracer*.
   std::unique_ptr<Tracer> tracer_;
-  // Likewise: every Mailbox (and the fault injector) holds a raw
-  // MetricsRegistry*.
   std::unique_ptr<MetricsRegistry> metrics_;
+  std::unique_ptr<Observer> observer_fan_out_;  ///< only with several layers
+  Observer* observer_ = nullptr;  ///< observer seam (null = none on)
+  std::unique_ptr<FaultInjector> faults_;
+  std::unique_ptr<Interposer> interposer_fan_out_;
+  Interposer* interposer_ = nullptr;  ///< interposer seam (null = none on)
   mph::atomic<context_t> next_context_{kWorldContext + 1};
   /// Verify mode: per-rank context counters (disjoint id spaces).
   std::unique_ptr<mph::atomic<context_t>[]> rank_next_context_;

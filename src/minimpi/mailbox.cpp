@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/minimpi/fault.hpp"
-
 namespace minimpi {
 
 namespace {
@@ -16,6 +14,14 @@ std::string pattern_string(context_t ctx, rank_t source, tag_t tag) {
   out += tag == any_tag ? "*" : std::to_string(tag);
   out += ")";
   return out;
+}
+
+Error truncation_error(const char* receive, std::size_t buffer_bytes,
+                       std::size_t payload_bytes) {
+  return Error(Errc::truncation, std::string(receive) + " buffer of " +
+                                     std::to_string(buffer_bytes) +
+                                     " bytes matched a message of " +
+                                     std::to_string(payload_bytes) + " bytes");
 }
 
 }  // namespace
@@ -45,75 +51,49 @@ template <class Pred>
 void Mailbox::wait_locked(std::unique_lock<std::mutex>& lock, Deadline deadline,
                           Pred pred, const char* operation, context_t ctx,
                           rank_t source, tag_t tag) {
-  // While blocked, this rank's wait-for edge lives in the checker's graph
-  // and its blocked state in the scheduler.  Both are registered after the
-  // first failed predicate check and refreshed after every later one — all
-  // under `mutex_`, the same mutex deliver() bumps the epochs under, so
+  // While blocked, this rank is registered with the observers (the
+  // checker's wait-for edge, the scheduler's blocked state, the blocked
+  // span and blocked-time gauge) after every failed predicate check — under
+  // `mutex_`, the same mutex deliver() reports deliveries under, so
   // "seen == epoch" proves the waiter examined every delivery and matched
   // nothing.
   struct BlockedScope {
-    Checker* checker;
-    Scheduler* sched;
-    Tracer* tracer;
-    MetricsRegistry* metrics;
+    Observer* observer;
     rank_t owner;
-    rank_t waits_on = any_source;
-    context_t ctx = kWorldContext;
-    tag_t tag = any_tag;
-    const char* label = "";
-    std::uint64_t t0 = 0;
-    std::uint64_t t0_metrics = 0;
+    const JobClock& clock;
+    BlockedWait wait;
     bool registered = false;
-    void blocked(rank_t on, const char* op, context_t c, tag_t t) {
-      if (registered) {
-        if (checker != nullptr) checker->refresh(owner);
-        if (sched != nullptr) sched->note_still_blocked(owner);
-        return;
-      }
-      if (checker != nullptr) checker->block(owner, on, op, c, t);
-      if (sched != nullptr) sched->note_blocked(owner, on, op, c, t);
-      if (tracer != nullptr) {
+    void blocked() {
+      if (observer == nullptr) return;
+      if (!registered) {
         // Blocked spans take the enclosing collective's label when one is
         // active ("barrier", "bcast", ...), the raw operation otherwise —
         // that label drives the recv-wait vs collective-wait breakdown.
         const char* scoped = ScopedCheckOp::current();
-        label = scoped != nullptr ? scoped : op;
-        waits_on = on;
-        ctx = c;
-        tag = t;
-        t0 = tracer->now_ns();
+        wait.label = scoped != nullptr ? scoped : wait.op;
+        wait.t0_ns = clock.now_ns();
+        registered = true;
       }
-      if (metrics != nullptr) t0_metrics = metrics->note_block_start(owner);
-      registered = true;
+      observer->wait_blocked(owner, wait);
     }
     ~BlockedScope() {
-      if (!registered) return;
-      if (checker != nullptr) checker->unblock(owner);
-      if (sched != nullptr) sched->note_unblocked(owner);
-      if (tracer != nullptr) {
-        tracer->span_end(owner, TraceOp::blocked, label, t0, waits_on, ctx,
-                         tag);
-      }
-      if (metrics != nullptr) metrics->note_block_end(owner, t0_metrics);
+      if (registered) observer->wait_unblocked(owner, wait, clock.now_ns());
     }
-  } scope{checker_, sched_, tracer_, metrics_, owner_rank_};
+  } scope{observer_, owner_rank_, clock_,
+          BlockedWait{source, operation, operation, ctx, tag, 0}};
 
   while (!pred()) {
     check_abort_locked();
-    scope.blocked(source, operation, ctx, tag);
+    scope.blocked();
     if (deadline == Deadline::max()) {
       cv_.wait(lock);
     } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
       check_abort_locked();
       if (pred()) return;
-      scope.blocked(source, operation, ctx, tag);
-      // Upgrade: when this rank sits on a confirmed wait-for cycle, report
-      // the whole cycle instead of a bare timeout.
-      if (checker_ != nullptr) {
-        if (auto cycle = checker_->deadlock_cycle(owner_rank_)) {
-          throw DeadlockError(*cycle);
-        }
-      }
+      scope.blocked();
+      // Upgrade: an observer may replace the bare timeout with a precise
+      // report (the checker throws the wait-for cycle this rank sits on).
+      if (observer_ != nullptr) observer_->wait_timed_out(owner_rank_);
       throw Error(Errc::timeout,
                   std::string("blocking ") + operation +
                       " exceeded the job receive timeout waiting for " +
@@ -133,208 +113,142 @@ std::deque<Envelope>::iterator Mailbox::find_locked(context_t ctx,
   });
 }
 
-std::exception_ptr Mailbox::check_types_locked(const Envelope& env,
-                                               const TypeSig& expected,
-                                               std::size_t buffer_bytes) const {
-  if (checker_ == nullptr) return nullptr;
-  const auto mismatch =
-      checker_->type_mismatch(env.sig, env.payload.size(), expected,
-                              buffer_bytes, env.src, owner_rank_, env.context,
-                              env.tag);
-  if (!mismatch) return nullptr;
-  return std::make_exception_ptr(TypeMismatchError(*mismatch));
-}
-
 void Mailbox::account_consumed_locked(RecvTicket& ticket) const {
   if (ticket.accounted) return;
   ticket.accounted = true;
-  if (checker_ != nullptr) checker_->note_request_consumed(owner_rank_);
+  if (observer_ != nullptr) observer_->request_consumed(owner_rank_);
 }
 
-rank_t Mailbox::fence_wildcard(context_t ctx, rank_t source, tag_t tag,
+rank_t Mailbox::resolve_source(context_t ctx, rank_t source, tag_t tag,
                                const char* operation) {
-  if (!verify_ || source != any_source) return source;
+  if (source != any_source) return source;
+  wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
+  if (!verify_) return source;
   // Hold the rank at the scheduler (no mailbox mutex held: the monitor
   // thread inspects this mailbox to enumerate candidates) until the
   // exploration engine picks the sender this wildcard must match.  The
   // subsequent exact-source match is deterministic: MPI non-overtaking
   // plus single-threaded senders fix the envelope a (src, tag) pattern
   // matches.
-  return sched_->resolve_wildcard(owner_rank_, ctx, tag, operation);
+  return interposer_->resolve_wildcard(owner_rank_, ctx, tag, operation);
+}
+
+void Mailbox::complete_locked(RecvTicket& ticket, std::span<std::byte> buffer,
+                              const TypeSig& expected, const Envelope& env) {
+  std::exception_ptr bad =
+      observer_ != nullptr
+          ? observer_->envelope_matched(owner_rank_, env, expected,
+                                        buffer.size(), true)
+          : nullptr;
+  if (bad) {
+    ticket.error = std::move(bad);
+  } else if (!ticket.detached) {  // a detached receive discards the payload
+    if (env.payload.size() > buffer.size()) {
+      ticket.error = std::make_exception_ptr(truncation_error(
+          "posted receive", buffer.size(), env.payload.size()));
+    } else {
+      if (!env.payload.empty()) {
+        std::memcpy(buffer.data(), env.payload.data(), env.payload.size());
+      }
+      ticket.status = Status{env.src, env.tag, env.payload.size()};
+    }
+  }
+  ticket.flow = env.flow;
+  ticket.done = true;
 }
 
 void Mailbox::deliver(Envelope&& env) {
-  // Sends are counted before the fault filter: an injected drop is still a
-  // send the application issued, and the sender/delivered gap is exactly the
-  // in-flight + dropped message count the monitor surfaces.
-  if (metrics_ != nullptr) metrics_->on_send(env.src, env.payload.size());
-  if (faults_ != nullptr &&
-      faults_->filter(env, owner_rank_) == FaultInjector::Filter::drop) {
+  // Observers see the send before any interposer: an injected drop is still
+  // a send the application issued (the sender/delivered gap is exactly the
+  // in-flight + dropped message count the monitor surfaces).  Then fault
+  // rules and the scheduler's vector-clock stamp, still in the sender's
+  // thread and before the destination mailbox is locked.
+  if (observer_ != nullptr) observer_->envelope_sent(env, owner_rank_);
+  if (interposer_ != nullptr && !interposer_->admit(env, owner_rank_)) {
     return;  // injected message loss
   }
-  // Vector-clock stamp for the send event (null unless verifying); taken
-  // in the sender's thread before the destination mailbox is locked.
-  if (sched_ != nullptr) {
-    env.vc = sched_->on_send(env.src, owner_rank_, env.context, env.tag);
-  }
-  std::shared_ptr<RecvTicket> completed;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    // Epoch bumps under the same mutex the owner's wait predicate runs
-    // under: a blocked waiter whose seen-epoch equals the current epoch has
-    // provably examined this (and every earlier) delivery.  note_send
-    // additionally invalidates any iprobe-spin edge the *sender* held — it
-    // is visibly making progress.
-    if (checker_ != nullptr) {
-      checker_->note_delivery(owner_rank_);
-      checker_->note_send(env.src);
-    }
-    if (sched_ != nullptr) sched_->note_delivery(owner_rank_);
+    // Reported under the same mutex the owner's wait predicate runs under:
+    // a blocked waiter whose seen-epoch equals the current epoch has
+    // provably examined this (and every earlier) delivery.
+    if (observer_ != nullptr) observer_->envelope_delivered(owner_rank_, env);
     count_context_locked(env.context);
-    if (metrics_ != nullptr) {
-      metrics_->on_delivered(owner_rank_, env.payload.size());
-    }
     // Try to complete the earliest-posted matching receive.
     auto it = std::find_if(posted_.begin(), posted_.end(),
                            [&](const PostedRecv& p) {
                              return matches(p.context, p.source, p.tag, env);
                            });
     if (it != posted_.end()) {
-      if (sched_ != nullptr) {
-        sched_->on_match(owner_rank_, env.src, env.context, env.tag, env.vc);
-      }
-      if (tracer_ != nullptr) {
-        // Posted-receive match on the receiver's timeline (recorded from
-        // the sender's thread — the rings are multi-producer).
-        tracer_->instant(owner_rank_, TraceOp::recv, "recv_match", env.src,
-                         env.context, env.tag, env.payload.size(), env.flow);
-      }
-      PostedRecv p = std::move(*it);
+      const PostedRecv p = std::move(*it);
       posted_.erase(it);
-      if (std::exception_ptr bad =
-              check_types_locked(env, p.expected, p.buffer.size())) {
-        p.ticket->error = std::move(bad);
-      } else if (env.payload.size() > p.buffer.size()) {
-        p.ticket->error = std::make_exception_ptr(Error(
-            Errc::truncation, "posted receive buffer of " +
-                                  std::to_string(p.buffer.size()) +
-                                  " bytes matched a message of " +
-                                  std::to_string(env.payload.size()) +
-                                  " bytes"));
-      } else {
-        if (!env.payload.empty()) {
-          std::memcpy(p.buffer.data(), env.payload.data(), env.payload.size());
-        }
-        p.ticket->status =
-            Status{env.src, env.tag, env.payload.size()};
-      }
-      p.ticket->flow = env.flow;
-      p.ticket->done = true;
-      completed = std::move(p.ticket);
+      complete_locked(*p.ticket, p.buffer, p.expected, env);
     } else {
       queue_.push_back(std::move(env));
       queue_high_water_ = std::max(queue_high_water_, queue_.size());
-      if (metrics_ != nullptr) {
-        metrics_->set_queue_depth(owner_rank_, queue_.size());
+      if (observer_ != nullptr) {
+        observer_->queue_depth_changed(owner_rank_, queue_.size());
       }
     }
   }
   cv_.notify_all();
-  (void)completed;  // ticket completion is observed through the same cv
+}
+
+Status Mailbox::receive(context_t ctx, rank_t source, tag_t tag,
+                        Deadline deadline, const TypeSig& expected,
+                        std::span<std::byte> buffer,
+                        std::vector<std::byte>* take) {
+  const std::uint64_t t0 = observer_ != nullptr ? clock_.now_ns() : 0;
+  source = resolve_source(ctx, source, tag, "recv");
+  std::unique_lock<std::mutex> lock(mutex_);
+  std::deque<Envelope>::iterator it;
+  wait_locked(
+      lock, deadline,
+      [&] {
+        it = find_locked(ctx, source, tag);
+        return it != queue_.end();
+      },
+      "recv", ctx, source, tag);
+  const std::size_t capacity =
+      take != nullptr ? it->payload.size() : buffer.size();
+  if (observer_ != nullptr) {
+    if (std::exception_ptr bad = observer_->envelope_matched(
+            owner_rank_, *it, expected, capacity, false)) {
+      queue_.erase(it);
+      std::rethrow_exception(bad);
+    }
+  }
+  if (it->payload.size() > capacity) {
+    throw truncation_error("receive", capacity, it->payload.size());
+  }
+  const Status status{it->src, it->tag, it->payload.size()};
+  const std::uint64_t flow = it->flow;
+  if (take != nullptr) {
+    *take = std::move(it->payload);
+  } else if (!it->payload.empty()) {
+    std::memcpy(buffer.data(), it->payload.data(), it->payload.size());
+  }
+  queue_.erase(it);
+  if (observer_ != nullptr) {
+    observer_->queue_depth_changed(owner_rank_, queue_.size());
+    observer_->recv_completed(owner_rank_, "recv", status, ctx, flow, t0,
+                              clock_.now_ns());
+  }
+  return status;
 }
 
 Status Mailbox::recv(context_t ctx, rank_t source, tag_t tag,
                      std::span<std::byte> buffer, Deadline deadline,
                      TypeSig expected) {
-  if (source == any_source) {
-    wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The tracer and the metrics registry keep separate clock epochs, so
-  // each layer must start and stop the match-latency measurement with its
-  // own clock — mixing them yields negative (wrapped) durations.
-  const std::uint64_t t0 = tracer_ != nullptr ? tracer_->now_ns() : 0;
-  const std::uint64_t t0_metrics =
-      metrics_ != nullptr ? metrics_->now_ns() : 0;
-  source = fence_wildcard(ctx, source, tag, "recv");
-  std::unique_lock<std::mutex> lock(mutex_);
-  std::deque<Envelope>::iterator it;
-  wait_locked(
-      lock, deadline,
-      [&] {
-        it = find_locked(ctx, source, tag);
-        return it != queue_.end();
-      },
-      "recv", ctx, source, tag);
-  if (sched_ != nullptr) {
-    sched_->on_match(owner_rank_, it->src, ctx, it->tag, it->vc);
-  }
-  if (std::exception_ptr bad =
-          check_types_locked(*it, expected, buffer.size())) {
-    queue_.erase(it);
-    std::rethrow_exception(bad);
-  }
-  if (it->payload.size() > buffer.size()) {
-    throw Error(Errc::truncation,
-                "receive buffer of " + std::to_string(buffer.size()) +
-                    " bytes matched a message of " +
-                    std::to_string(it->payload.size()) + " bytes");
-  }
-  if (!it->payload.empty()) {
-    std::memcpy(buffer.data(), it->payload.data(), it->payload.size());
-  }
-  const Status status{it->src, it->tag, it->payload.size()};
-  const std::uint64_t flow = it->flow;
-  queue_.erase(it);
-  if (tracer_ != nullptr) {
-    tracer_->span_end(owner_rank_, TraceOp::recv, "recv", t0, status.source,
-                      ctx, status.tag, status.bytes, flow);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->set_queue_depth(owner_rank_, queue_.size());
-    metrics_->on_match(owner_rank_, metrics_->now_ns() - t0_metrics);
-  }
-  return status;
+  return receive(ctx, source, tag, deadline, expected, buffer, nullptr);
 }
 
 std::pair<Status, std::vector<std::byte>> Mailbox::recv_take(
     context_t ctx, rank_t source, tag_t tag, Deadline deadline,
     TypeSig expected) {
-  if (source == any_source) {
-    wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::uint64_t t0 = tracer_ != nullptr ? tracer_->now_ns() : 0;
-  const std::uint64_t t0_metrics =
-      metrics_ != nullptr ? metrics_->now_ns() : 0;
-  source = fence_wildcard(ctx, source, tag, "recv");
-  std::unique_lock<std::mutex> lock(mutex_);
-  std::deque<Envelope>::iterator it;
-  wait_locked(
-      lock, deadline,
-      [&] {
-        it = find_locked(ctx, source, tag);
-        return it != queue_.end();
-      },
-      "recv", ctx, source, tag);
-  if (sched_ != nullptr) {
-    sched_->on_match(owner_rank_, it->src, ctx, it->tag, it->vc);
-  }
-  if (std::exception_ptr bad =
-          check_types_locked(*it, expected, it->payload.size())) {
-    queue_.erase(it);
-    std::rethrow_exception(bad);
-  }
-  const Status status{it->src, it->tag, it->payload.size()};
-  const std::uint64_t flow = it->flow;
-  std::vector<std::byte> payload = std::move(it->payload);
-  queue_.erase(it);
-  if (tracer_ != nullptr) {
-    tracer_->span_end(owner_rank_, TraceOp::recv, "recv", t0, status.source,
-                      ctx, status.tag, status.bytes, flow);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->set_queue_depth(owner_rank_, queue_.size());
-    metrics_->on_match(owner_rank_, metrics_->now_ns() - t0_metrics);
-  }
+  std::vector<std::byte> payload;
+  const Status status =
+      receive(ctx, source, tag, deadline, expected, {}, &payload);
   return {status, std::move(payload)};
 }
 
@@ -351,51 +265,22 @@ std::shared_ptr<RecvTicket> Mailbox::post_recv(context_t ctx, rank_t source,
                 "receives (irecv with source=ANY_SOURCE); use a blocking "
                 "recv or an exact source");
   }
-  if (source == any_source) {
-    wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->instant(owner_rank_, TraceOp::post_recv, "post_recv", source, ctx,
-                     tag, buffer.size());
-  }
+  source = resolve_source(ctx, source, tag, "irecv");
   auto ticket = std::make_shared<RecvTicket>();
   ticket->context = ctx;
   ticket->source = source;
   ticket->tag = tag;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (checker_ != nullptr) checker_->note_request_posted(owner_rank_);
+    if (observer_ != nullptr) {
+      observer_->recv_posted(owner_rank_, source, ctx, tag, buffer.size());
+    }
     auto it = find_locked(ctx, source, tag);
     if (it != queue_.end()) {
-      if (sched_ != nullptr) {
-        sched_->on_match(owner_rank_, it->src, ctx, it->tag, it->vc);
-      }
-      if (std::exception_ptr bad =
-              check_types_locked(*it, expected, buffer.size())) {
-        ticket->error = std::move(bad);
-      } else if (it->payload.size() > buffer.size()) {
-        ticket->error = std::make_exception_ptr(Error(
-            Errc::truncation, "posted receive buffer of " +
-                                  std::to_string(buffer.size()) +
-                                  " bytes matched a message of " +
-                                  std::to_string(it->payload.size()) +
-                                  " bytes"));
-      } else {
-        if (!it->payload.empty()) {
-          std::memcpy(buffer.data(), it->payload.data(), it->payload.size());
-        }
-        ticket->status = Status{it->src, it->tag, it->payload.size()};
-      }
-      ticket->flow = it->flow;
-      ticket->done = true;
-      if (tracer_ != nullptr) {
-        tracer_->instant(owner_rank_, TraceOp::recv, "recv_match",
-                         ticket->status.source, ctx, ticket->status.tag,
-                         ticket->status.bytes, ticket->flow);
-      }
+      complete_locked(*ticket, buffer, expected, *it);
       queue_.erase(it);
-      if (metrics_ != nullptr) {
-        metrics_->set_queue_depth(owner_rank_, queue_.size());
+      if (observer_ != nullptr) {
+        observer_->queue_depth_changed(owner_rank_, queue_.size());
       }
     } else {
       posted_.push_back(
@@ -407,22 +292,17 @@ std::shared_ptr<RecvTicket> Mailbox::post_recv(context_t ctx, rank_t source,
 
 Status Mailbox::wait(const std::shared_ptr<RecvTicket>& ticket,
                      Deadline deadline) {
-  const std::uint64_t t0 = tracer_ != nullptr ? tracer_->now_ns() : 0;
-  const std::uint64_t t0_metrics =
-      metrics_ != nullptr ? metrics_->now_ns() : 0;
+  const std::uint64_t t0 = observer_ != nullptr ? clock_.now_ns() : 0;
   std::unique_lock<std::mutex> lock(mutex_);
   wait_locked(
       lock, deadline, [&] { return ticket->done; }, "wait",
       ticket->context, ticket->source, ticket->tag);
   account_consumed_locked(*ticket);
   if (ticket->error) std::rethrow_exception(ticket->error);
-  if (tracer_ != nullptr) {
-    tracer_->span_end(owner_rank_, TraceOp::recv, "wait", t0,
-                      ticket->status.source, ticket->context,
-                      ticket->status.tag, ticket->status.bytes, ticket->flow);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->on_match(owner_rank_, metrics_->now_ns() - t0_metrics);
+  if (observer_ != nullptr) {
+    observer_->recv_completed(owner_rank_, "wait", ticket->status,
+                              ticket->context, ticket->flow, t0,
+                              clock_.now_ns());
   }
   return ticket->status;
 }
@@ -434,17 +314,16 @@ bool Mailbox::test(const std::shared_ptr<RecvTicket>& ticket, Status* out) {
   // the spinning rank outlives the abort and the job never joins.
   check_abort_locked();
   if (!ticket->done) {
-    // A test miss is a poll: register a *soft* wait-for edge (a spinning
-    // wait_any loop deadlocks exactly like a blocking wait would) and tell
-    // the scheduler the rank may be spinning rather than blocking.
-    if (checker_ != nullptr) {
-      checker_->iprobe_miss(owner_rank_, ticket->source, "test",
-                            ticket->context, ticket->tag);
+    // A test miss is a poll: the checker registers a *soft* wait-for edge
+    // (a spinning wait_any loop deadlocks exactly like a blocking wait
+    // would) and the scheduler learns the rank may be spinning.
+    if (observer_ != nullptr) {
+      observer_->poll_missed(owner_rank_, ticket->source, "test",
+                             ticket->context, ticket->tag);
     }
-    if (sched_ != nullptr) sched_->note_polling(owner_rank_);
     return false;
   }
-  if (checker_ != nullptr) checker_->iprobe_hit(owner_rank_);
+  if (observer_ != nullptr) observer_->poll_hit(owner_rank_);
   account_consumed_locked(*ticket);
   if (ticket->error) std::rethrow_exception(ticket->error);
   if (out != nullptr) *out = ticket->status;
@@ -458,12 +337,14 @@ void Mailbox::cancel(const std::shared_ptr<RecvTicket>& ticket) {
                 [&](const PostedRecv& p) { return p.ticket == ticket; });
 }
 
+void Mailbox::detach(const std::shared_ptr<RecvTicket>& ticket) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ticket->detached = true;
+}
+
 Status Mailbox::probe(context_t ctx, rank_t source, tag_t tag,
                       Deadline deadline) {
-  if (source == any_source) {
-    wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  source = fence_wildcard(ctx, source, tag, "probe");
+  source = resolve_source(ctx, source, tag, "probe");
   std::unique_lock<std::mutex> lock(mutex_);
   std::deque<Envelope>::iterator it;
   wait_locked(
@@ -492,25 +373,22 @@ std::optional<Status> Mailbox::iprobe(context_t ctx, rank_t source, tag_t tag) {
     }
     if (!srcs.empty()) {
       std::sort(srcs.begin(), srcs.end());
-      const rank_t chosen =
-          srcs.size() == 1 ? srcs.front()
-                           : sched_->resolve_immediate(owner_rank_, ctx, tag,
-                                                       srcs);
-      source = chosen;
+      source = srcs.size() == 1 ? srcs.front()
+                                : interposer_->resolve_immediate(
+                                      owner_rank_, ctx, tag, srcs);
     }
   }
   auto it = find_locked(ctx, source, tag);
   if (it == queue_.end()) {
-    // Register a soft wait-for edge: an iprobe spin loop whose peer is
-    // blocked waiting on *us* is a deadlock, and should be reported as a
-    // cycle instead of timing out (or hanging).
-    if (checker_ != nullptr) {
-      checker_->iprobe_miss(owner_rank_, source, "iprobe", ctx, tag);
+    // A poll miss: an iprobe spin loop whose peer is blocked waiting on
+    // *us* is a deadlock, and the checker's soft wait-for edge reports it
+    // as a cycle instead of timing out (or hanging).
+    if (observer_ != nullptr) {
+      observer_->poll_missed(owner_rank_, source, "iprobe", ctx, tag);
     }
-    if (sched_ != nullptr) sched_->note_polling(owner_rank_);
     return std::nullopt;
   }
-  if (checker_ != nullptr) checker_->iprobe_hit(owner_rank_);
+  if (observer_ != nullptr) observer_->poll_hit(owner_rank_);
   if (source == any_source) {
     // Counted on the hit only: a polling loop of misses is one logical
     // wildcard receive, not thousands.
@@ -572,6 +450,12 @@ Mailbox::delivered_by_context() const {
 std::size_t Mailbox::posted() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return posted_.size();
+}
+
+bool Mailbox::busy() const {
+  if (!mutex_.try_lock()) return true;
+  mutex_.unlock();
+  return false;
 }
 
 MailboxDrain Mailbox::drain() {

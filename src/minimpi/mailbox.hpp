@@ -23,15 +23,11 @@
 
 #include "src/minimpi/check.hpp"
 #include "src/minimpi/error.hpp"
-#include "src/minimpi/metrics.hpp"
+#include "src/minimpi/hooks.hpp"
 #include "src/minimpi/racer/atomic.hpp"
-#include "src/minimpi/schedule.hpp"
-#include "src/minimpi/trace.hpp"
 #include "src/minimpi/types.hpp"
 
 namespace minimpi {
-
-class FaultInjector;
 
 /// A message in flight: routing key plus owned payload bytes.
 /// `src` is always the *global* (world) rank of the sender; communicators
@@ -70,6 +66,9 @@ struct RecvTicket {
   /// Flow id of the envelope that completed this receive (0 until matched
   /// or when tracing is off) — recorded on the wait span.
   std::uint64_t flow = 0;
+  /// The request was destroyed unconsumed (Mailbox::detach): the buffer may
+  /// be gone, so a match discards the payload.
+  bool detached = false;
 };
 
 /// Deadline for blocking operations; Mailbox treats time_point::max() as
@@ -86,31 +85,21 @@ class Mailbox {
  public:
   /// `abort_flag` / `abort_reason` belong to the owning Job; every blocking
   /// wait observes them so a failed rank unblocks the whole job.
-  /// `owner_rank` is the world rank this mailbox belongs to and `faults`
-  /// the job's injector (null when fault injection is off); both serve the
-  /// deliver-side envelope hooks.  `checker` is the job's mpicheck registry
-  /// (null when no checker is enabled): blocked waits register wait-for
-  /// edges there and matched envelopes get their type signatures verified.
-  /// `sched` is the job's scheduler (null = pass-through): decision points
-  /// yield to it, and when it is *verifying* wildcard matches are resolved
-  /// through explicit scheduler decisions instead of arrival order.
-  /// `tracer` is the job's event tracer (null = tracing off): match points
-  /// and blocked intervals record onto the owner rank's ring.  `metrics`
-  /// is the job's mph_mon registry (null = monitoring off): send/recv
-  /// counts, match latency, queue depth, and blocked time land there.
+  /// `owner_rank` is the world rank this mailbox belongs to.  `observer` and
+  /// `interposer` are the job's two instrumentation seams (hooks.hpp; null
+  /// when no layer of that kind is on): every event site is one branch on
+  /// one of them.  `clock` is the job clock the receive and blocked-wait
+  /// intervals reported to the observer are measured on.
   Mailbox(const mph::atomic<bool>& abort_flag, const std::string& abort_reason,
-          rank_t owner_rank = 0, FaultInjector* faults = nullptr,
-          Checker* checker = nullptr, Scheduler* sched = nullptr,
-          Tracer* tracer = nullptr, MetricsRegistry* metrics = nullptr)
+          rank_t owner_rank = 0, Observer* observer = nullptr,
+          Interposer* interposer = nullptr, JobClock clock = {})
       : abort_flag_(abort_flag),
         abort_reason_(abort_reason),
         owner_rank_(owner_rank),
-        faults_(faults),
-        checker_(checker),
-        sched_(sched),
-        tracer_(tracer),
-        metrics_(metrics),
-        verify_(sched != nullptr && sched->verifying()) {}
+        observer_(observer),
+        interposer_(interposer),
+        clock_(clock),
+        verify_(interposer != nullptr && interposer->verifying()) {}
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
@@ -120,7 +109,8 @@ class Mailbox {
   void set_domain(const mph::atomic<bool>* flag, const std::string* reason);
 
   /// Sender-side entry point: complete a matching posted receive or queue.
-  /// Consults the fault injector first (drop/delay/truncate rules).
+  /// The observers see the send first, then the interposer may drop, delay
+  /// or alter the envelope.
   void deliver(Envelope&& env);
 
   /// Blocking receive into a caller-owned buffer.  Throws Errc::truncation
@@ -152,6 +142,11 @@ class Mailbox {
   /// Cancel a not-yet-matched posted receive (used on error unwind).
   void cancel(const std::shared_ptr<RecvTicket>& ticket);
 
+  /// Detach the buffer of a posted receive whose request died unconsumed:
+  /// the receive keeps its place in the matching order (non-overtaking),
+  /// but its envelope is discarded, not copied.  Not counted consumed.
+  void detach(const std::shared_ptr<RecvTicket>& ticket);
+
   /// Blocking probe: wait for a matching message without consuming it.
   Status probe(context_t ctx, rank_t source, tag_t tag, Deadline deadline);
 
@@ -178,6 +173,10 @@ class Mailbox {
 
   /// Number of outstanding posted receives.
   [[nodiscard]] std::size_t posted() const;
+
+  /// Whether some thread holds the mutex now (a try-lock probe for tests;
+  /// never call it from a thread that may hold the mutex itself).
+  [[nodiscard]] bool busy() const;
 
   /// One matchable sender for a held wildcard receive: the first queued
   /// envelope from `src` matching the pattern (MPI non-overtaking makes it
@@ -234,21 +233,28 @@ class Mailbox {
                                                            rank_t source,
                                                            tag_t tag);
 
-  /// Verify a matched envelope's type signature against `expected`;
-  /// returns the TypeMismatchError to raise, or null when compatible.
-  /// Caller holds `mutex_`.
-  [[nodiscard]] std::exception_ptr check_types_locked(
-      const Envelope& env, const TypeSig& expected,
-      std::size_t buffer_bytes) const;
-
   /// Consume `ticket` for the leak audit exactly once. Caller holds `mutex_`.
   void account_consumed_locked(RecvTicket& ticket) const;
 
-  /// Verify-mode wildcard fence: when the pattern is ANY_SOURCE, hold the
-  /// owner at the scheduler until a sender is chosen and return the exact
-  /// source to match; otherwise return `source` unchanged.
-  [[nodiscard]] rank_t fence_wildcard(context_t ctx, rank_t source, tag_t tag,
+  /// Entry of every receive-side pattern: counts a wildcard (ANY_SOURCE)
+  /// receive and, under verification, holds the owner at the scheduler
+  /// until a sender is chosen, returning that exact source.  Otherwise
+  /// returns `source` unchanged.  Called without `mutex_`.
+  [[nodiscard]] rank_t resolve_source(context_t ctx, rank_t source, tag_t tag,
                                       const char* operation);
+
+  /// The matched-envelope path of recv and recv_take: block until a queued
+  /// envelope matches, then copy its payload into `buffer` — or, when
+  /// `take` is non-null, move it there — and dequeue it.
+  Status receive(context_t ctx, rank_t source, tag_t tag, Deadline deadline,
+                 const TypeSig& expected, std::span<std::byte> buffer,
+                 std::vector<std::byte>* take);
+
+  /// Complete posted receive `ticket` (buffer `buffer`) with matched
+  /// envelope `env`: the one completion routine of deliver and post_recv.
+  /// Caller holds `mutex_`.
+  void complete_locked(RecvTicket& ticket, std::span<std::byte> buffer,
+                       const TypeSig& expected, const Envelope& env);
 
   /// Bump the delivered-per-context counter for `ctx`. Caller holds mutex_.
   void count_context_locked(context_t ctx);
@@ -256,12 +262,10 @@ class Mailbox {
   const mph::atomic<bool>& abort_flag_;
   const std::string& abort_reason_;
   rank_t owner_rank_;
-  FaultInjector* faults_;
-  Checker* checker_;
-  Scheduler* sched_;
-  Tracer* tracer_;
-  MetricsRegistry* metrics_;
-  bool verify_;  ///< sched_ != null and it serializes match decisions
+  Observer* observer_;
+  Interposer* interposer_;
+  JobClock clock_;
+  bool verify_;  ///< interposer_ serializes match decisions
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

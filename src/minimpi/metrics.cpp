@@ -6,7 +6,9 @@
 #include <fstream>
 #include <system_error>
 
+#include "src/minimpi/mailbox.hpp"
 #include "src/util/diagnostics.hpp"
+#include "src/util/json.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MPH_MONITOR_HAS_UNIX_SOCKET 1
@@ -20,6 +22,8 @@
 #endif
 
 namespace minimpi {
+
+using mph::util::append_json_escaped;
 
 // ---------------------------------------------------------------------------
 // Options
@@ -77,20 +81,13 @@ MonitorOptions MonitorOptions::merged_with_env() const {
 // Registry
 // ---------------------------------------------------------------------------
 
-MetricsRegistry::MetricsRegistry(int world_size)
+MetricsRegistry::MetricsRegistry(int world_size, JobClock clock)
     : world_size_(std::max(world_size, 0)),
-      epoch_(std::chrono::steady_clock::now()),
+      clock_(clock),
       slots_(std::make_unique<RankSlots[]>(
           static_cast<std::size_t>(world_size_))),
       components_(static_cast<std::size_t>(world_size_)),
       probes_(static_cast<std::size_t>(world_size_)) {}
-
-std::uint64_t MetricsRegistry::now_ns() const noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-}
 
 void MetricsRegistry::on_send(rank_t rank, std::uint64_t bytes) noexcept {
   if (!valid(rank)) return;
@@ -138,28 +135,6 @@ void MetricsRegistry::add_blocked_ns(rank_t rank, std::uint64_t ns) noexcept {
       ns, std::memory_order_relaxed);
 }
 
-std::uint64_t MetricsRegistry::note_block_start(rank_t rank) noexcept {
-  const std::uint64_t now = now_ns();
-  if (valid(rank)) {
-    slots_[static_cast<std::size_t>(rank)].blocked_since.store(
-        now, std::memory_order_relaxed);
-  }
-  return now;
-}
-
-void MetricsRegistry::note_block_end(rank_t rank,
-                                     std::uint64_t start_ns) noexcept {
-  if (!valid(rank)) return;
-  RankSlots& s = slots_[static_cast<std::size_t>(rank)];
-  // Clear the open-wait stamp before flushing so a racing reader
-  // momentarily under-counts rather than double-counts the wait.
-  s.blocked_since.store(0, std::memory_order_relaxed);
-  const std::uint64_t now = now_ns();
-  if (now > start_ns) {
-    s.blocked_ns.fetch_add(now - start_ns, std::memory_order_relaxed);
-  }
-}
-
 void MetricsRegistry::set_queue_depth(rank_t rank,
                                       std::uint64_t depth) noexcept {
   if (!valid(rank)) return;
@@ -170,6 +145,48 @@ void MetricsRegistry::set_queue_depth(rank_t rank,
   if (depth > s.queue_high_water.load(std::memory_order_relaxed)) {
     s.queue_high_water.store(depth, std::memory_order_relaxed);
   }
+}
+
+void MetricsRegistry::envelope_sent(Envelope& env, rank_t /*dest*/) {
+  on_send(env.src, env.payload.size());
+}
+
+void MetricsRegistry::envelope_delivered(rank_t owner, const Envelope& env) {
+  on_delivered(owner, env.payload.size());
+}
+
+void MetricsRegistry::queue_depth_changed(rank_t owner, std::size_t depth) {
+  set_queue_depth(owner, depth);
+}
+
+void MetricsRegistry::recv_completed(rank_t owner, const char* /*op*/,
+                                     const Status& /*status*/,
+                                     context_t /*ctx*/, std::uint64_t /*flow*/,
+                                     std::uint64_t t0_ns,
+                                     std::uint64_t t1_ns) {
+  on_match(owner, t1_ns - t0_ns);
+}
+
+void MetricsRegistry::wait_blocked(rank_t owner, const BlockedWait& wait) {
+  if (!valid(owner)) return;
+  slots_[static_cast<std::size_t>(owner)].blocked_since.store(
+      wait.t0_ns, std::memory_order_relaxed);
+}
+
+void MetricsRegistry::wait_unblocked(rank_t owner, const BlockedWait& wait,
+                                     std::uint64_t t1_ns) {
+  if (!valid(owner)) return;
+  RankSlots& s = slots_[static_cast<std::size_t>(owner)];
+  // Clear the open-wait stamp before flushing so a racing reader
+  // momentarily under-counts rather than double-counts the wait.
+  s.blocked_since.store(0, std::memory_order_relaxed);
+  s.blocked_ns.fetch_add(t1_ns - wait.t0_ns, std::memory_order_relaxed);
+}
+
+void MetricsRegistry::fault_fired(rank_t rank, const char* /*name*/,
+                                  rank_t /*peer*/, context_t /*ctx*/,
+                                  tag_t /*tag*/, std::uint64_t /*detail*/) {
+  on_fault(rank);
 }
 
 void MetricsRegistry::set_component(rank_t rank, std::string name) {
@@ -215,7 +232,7 @@ RankMetrics MetricsRegistry::read_rank(rank_t rank) const {
   // blocking must be visible to live snapshots as it accrues.
   const std::uint64_t since = s.blocked_since.load(std::memory_order_relaxed);
   if (since != 0) {
-    const std::uint64_t now = now_ns();
+    const std::uint64_t now = clock_.now_ns();
     if (now > since) out.blocked_ns += now - since;
   }
   out.queue_depth = s.queue_depth.load(std::memory_order_relaxed);
@@ -246,27 +263,6 @@ RankMetrics MetricsRegistry::read_rank(rank_t rank) const {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 /// Escape a Prometheus label value (backslash, quote, newline).
 void append_prom_escaped(std::string& out, std::string_view text) {

@@ -9,13 +9,13 @@
 // see *live* which component is the bottleneck, whose queues are growing,
 // and who is blocked.
 //
-// Cost discipline (the same null-pointer hook contract as the Checker,
-// Scheduler, and Tracer layers):
+// Cost discipline (the observer-seam contract of hooks.hpp):
 //
 //   * Off path: monitoring is enabled per job (JobOptions::monitor or the
 //     MINIMPI_MONITOR environment variable).  When off, Job::metrics() is
-//     null and every instrumentation point is one branch on a null
-//     pointer — nothing is allocated, counted, or timed.
+//     null, the registry is not on the mailbox's observer seam, and every
+//     instrumentation point is one branch on a null pointer — nothing is
+//     allocated, counted, or timed.
 //   * On path: every hot-path update is a relaxed atomic add/store into a
 //     per-rank, cache-line-padded slot block.  No locks, no allocation.
 //     Aggregation (summing ranks, filling histograms into a snapshot)
@@ -58,6 +58,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/minimpi/hooks.hpp"
 #include "src/minimpi/racer/atomic.hpp"
 #include "src/minimpi/types.hpp"
 
@@ -238,18 +239,19 @@ struct MetricsSnapshot {
 
 /// The per-job metrics collector: one cache-line-padded block of relaxed
 /// atomics per world rank, plus mutex-guarded cold metadata (component
-/// names, value probes).  Null when monitoring is off.
-class MetricsRegistry {
+/// names, value probes).  Null when monitoring is off.  As an Observer it
+/// counts the mailbox's sends, deliveries, receive latencies, backlog and
+/// blocked time, and the fault injector's firings.
+class MetricsRegistry final : public Observer {
  public:
-  explicit MetricsRegistry(int world_size);
+  /// `clock` is the job clock blocked waits and latencies are measured on;
+  /// a standalone registry keeps its own.
+  explicit MetricsRegistry(int world_size, JobClock clock = {});
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   [[nodiscard]] int world_size() const noexcept { return world_size_; }
-
-  /// Nanoseconds since this registry's construction (steady clock).
-  [[nodiscard]] std::uint64_t now_ns() const noexcept;
 
   // --- hot path (relaxed atomics, no locks) --------------------------------
 
@@ -260,17 +262,28 @@ class MetricsRegistry {
   void on_collective(rank_t rank) noexcept;
   void on_fault(rank_t rank) noexcept;
   void add_blocked_ns(rank_t rank, std::uint64_t ns) noexcept;
-  /// Bracket a blocked mailbox wait.  While a wait is open, read_rank
-  /// folds the in-progress time into blocked_ns, so a live snapshot shows
-  /// a *stuck* rank's blocking as it accrues — mph_watch's stall rule
-  /// depends on this; the flushed counter alone only moves when a wait
-  /// completes, which a stalled rank's never does.  Returns the start
-  /// stamp to pass to note_block_end.
-  [[nodiscard]] std::uint64_t note_block_start(rank_t rank) noexcept;
-  void note_block_end(rank_t rank, std::uint64_t start_ns) noexcept;
   /// Current unmatched backlog of the rank's mailbox; also maintains the
   /// high-water gauge.
   void set_queue_depth(rank_t rank, std::uint64_t depth) noexcept;
+
+  // --- Observer events (hot path; the same relaxed updates) ----------------
+
+  /// Counted before any interposer: a dropped send is still a send.
+  void envelope_sent(Envelope& env, rank_t dest) override;
+  void envelope_delivered(rank_t owner, const Envelope& env) override;
+  void queue_depth_changed(rank_t owner, std::size_t depth) override;
+  /// The receive's [t0, t1] interval is its match latency.
+  void recv_completed(rank_t owner, const char* op, const Status& status,
+                      context_t ctx, std::uint64_t flow, std::uint64_t t0_ns,
+                      std::uint64_t t1_ns) override;
+  /// While a wait is open read_rank folds its time into blocked_ns, so a
+  /// live snapshot shows a *stuck* rank's blocking as it accrues (mph_watch's
+  /// stall rule depends on it).
+  void wait_blocked(rank_t owner, const BlockedWait& wait) override;
+  void wait_unblocked(rank_t owner, const BlockedWait& wait,
+                      std::uint64_t t1_ns) override;
+  void fault_fired(rank_t rank, const char* name, rank_t peer, context_t ctx,
+                   tag_t tag, std::uint64_t detail) override;
 
   // --- cold path (mutex-guarded; handshake / setup only) -------------------
 
@@ -325,7 +338,7 @@ class MetricsRegistry {
   }
 
   int world_size_;
-  std::chrono::steady_clock::time_point epoch_;
+  JobClock clock_;
   std::unique_ptr<RankSlots[]> slots_;
   mph::atomic<std::uint64_t> seq_{0};
 

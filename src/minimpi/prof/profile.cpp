@@ -655,23 +655,6 @@ std::string render_report(const Profile& profile,
 // Chrome-JSON overlay
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Nanoseconds as the trace-event microsecond decimal (same format as
-/// TraceReport::to_chrome_json, duplicated because that helper is file
-/// local there).
-std::string us_string(std::uint64_t ns) {
-  std::string out = std::to_string(ns / 1000);
-  const std::uint64_t frac = ns % 1000;
-  out += '.';
-  out += static_cast<char>('0' + frac / 100);
-  out += static_cast<char>('0' + (frac / 10) % 10);
-  out += static_cast<char>('0' + frac % 10);
-  return out;
-}
-
-}  // namespace
-
 std::string annotate_chrome_json(const TraceReport& report,
                                  const Profile& profile) {
   std::string base = report.to_chrome_json();

@@ -4,8 +4,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <utility>
+
+#include "src/util/json.hpp"
 
 namespace minimpi::racer {
 
@@ -55,26 +56,6 @@ class ScopedEngine {
 [[nodiscard]] std::string store_desc(const Store& s) {
   if (s.tid < 0) return "init";
   return "t" + std::to_string(s.tid) + "#" + std::to_string(s.seq);
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
 }
 
 constexpr std::size_t kMaxEvents = 4096;
@@ -782,9 +763,9 @@ std::string RacerReport::summary() const {
 std::string trace_to_json(const RacerReport& report) {
   std::string out = "{\n  \"kind\": \"mph_racer_trace\",\n  \"version\": 1,\n";
   out += "  \"litmus\": \"";
-  json_escape_into(out, report.litmus);
+  mph::util::append_json_escaped(out, report.litmus);
   out += "\",\n  \"reason\": \"";
-  json_escape_into(out, report.failure_reason);
+  mph::util::append_json_escaped(out, report.failure_reason);
   out += "\",\n  \"decisions\": [";
   for (std::size_t i = 0; i < report.failure_decisions.size(); ++i) {
     const Decision& d = report.failure_decisions[i];
@@ -793,7 +774,7 @@ std::string trace_to_json(const RacerReport& report) {
            "\", \"chosen\": " + std::to_string(d.chosen) +
            ", \"options\": " + std::to_string(d.options) +
            ", \"pruned\": " + std::to_string(d.pruned) + ", \"note\": \"";
-    json_escape_into(out, d.note);
+    mph::util::append_json_escaped(out, d.note);
     out += "\"}";
   }
   out += "\n  ],\n  \"events\": [";
@@ -801,7 +782,7 @@ std::string trace_to_json(const RacerReport& report) {
     const StepEvent& ev = report.failure_events[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"tid\": " + std::to_string(ev.tid) + ", \"text\": \"";
-    json_escape_into(out, ev.text);
+    mph::util::append_json_escaped(out, ev.text);
     out += "\"}";
   }
   out += "\n  ]\n}\n";

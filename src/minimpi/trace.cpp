@@ -4,7 +4,12 @@
 #include <cstdlib>
 #include <map>
 
+#include "src/minimpi/mailbox.hpp"
+#include "src/util/json.hpp"
+
 namespace minimpi {
+
+using mph::util::append_json_escaped;
 
 // ---------------------------------------------------------------------------
 // Options
@@ -141,14 +146,14 @@ TraceRing::Snapshot TraceRing::snapshot() const {
 // Tracer
 // ---------------------------------------------------------------------------
 
-Tracer::Tracer(int world_size, TraceOptions options)
-    : options_(options), epoch_(std::chrono::steady_clock::now()) {
+Tracer::Tracer(int world_size, TraceOptions options, const JobClock& clock)
+    : options_(options), clock_(clock) {
   const auto n = static_cast<std::size_t>(world_size > 0 ? world_size : 0);
   rings_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     rings_.push_back(std::make_unique<TraceRing>(options_.ring_capacity));
   }
-  flow_seq_ = std::make_unique<mph::atomic<std::uint64_t>[]>(n);
+  flow_seq_ = std::make_unique<FlowSeq[]>(n);
   track_names_.assign(n, std::string{});
   counters_.assign(n, {});
 }
@@ -156,54 +161,74 @@ Tracer::Tracer(int world_size, TraceOptions options)
 std::uint64_t Tracer::next_flow(rank_t src) noexcept {
   if (src < 0 || static_cast<std::size_t>(src) >= rings_.size()) return 0;
   const std::uint64_t seq =
-      flow_seq_[static_cast<std::size_t>(src)].fetch_add(
+      flow_seq_[static_cast<std::size_t>(src)].next.fetch_add(
           1, std::memory_order_relaxed) +
       1;
   return (static_cast<std::uint64_t>(src) + 1) << 40 | seq;
 }
 
-std::uint64_t Tracer::now_ns() const noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
+void Tracer::record(rank_t ring, const TraceEvent& event) noexcept {
+  if (ring < 0 || static_cast<std::size_t>(ring) >= rings_.size()) return;
+  rings_[static_cast<std::size_t>(ring)]->record(event);
 }
 
 void Tracer::instant(rank_t ring, TraceOp op, const char* name, rank_t peer,
                      context_t context, tag_t tag, std::uint64_t bytes,
                      std::uint64_t flow) noexcept {
-  if (ring < 0 || static_cast<std::size_t>(ring) >= rings_.size()) return;
-  TraceEvent event;
-  event.t_start_ns = now_ns();
-  event.t_end_ns = event.t_start_ns;
-  event.op = op;
-  event.span = false;
-  event.name = name;
-  event.peer = peer;
-  event.context = context;
-  event.tag = tag;
-  event.bytes = bytes;
-  event.flow = flow;
-  rings_[static_cast<std::size_t>(ring)]->record(event);
+  const std::uint64_t now = clock_.now_ns();
+  record(ring, {now, now, op, false, name, peer, context, tag, bytes, flow});
 }
 
 void Tracer::span_end(rank_t ring, TraceOp op, const char* name,
                       std::uint64_t t_start_ns, rank_t peer, context_t context,
                       tag_t tag, std::uint64_t bytes,
                       std::uint64_t flow) noexcept {
-  if (ring < 0 || static_cast<std::size_t>(ring) >= rings_.size()) return;
-  TraceEvent event;
-  event.t_start_ns = t_start_ns;
-  event.t_end_ns = std::max(now_ns(), t_start_ns);
-  event.op = op;
-  event.span = true;
-  event.name = name;
-  event.peer = peer;
-  event.context = context;
-  event.tag = tag;
-  event.bytes = bytes;
-  event.flow = flow;
-  rings_[static_cast<std::size_t>(ring)]->record(event);
+  record(ring, {t_start_ns, std::max(clock_.now_ns(), t_start_ns), op, true,
+                name, peer, context, tag, bytes, flow});
+}
+
+void Tracer::envelope_sent(Envelope& env, rank_t dest) {
+  env.flow = next_flow(env.src);
+  instant(env.src, TraceOp::send,
+          env.tag >= kControlTagBase ? "control_send" : "send", dest,
+          env.context, env.tag, env.payload.size(), env.flow);
+}
+
+std::exception_ptr Tracer::envelope_matched(rank_t owner, const Envelope& env,
+                                            const TypeSig& /*expected*/,
+                                            std::size_t /*capacity*/,
+                                            bool posted) {
+  // Posted-receive match on the receiver's timeline (possibly recorded from
+  // the sender's thread — the rings are multi-producer).  A blocking
+  // receive is recorded whole by recv_completed instead.
+  if (posted) {
+    instant(owner, TraceOp::recv, "recv_match", env.src, env.context, env.tag,
+            env.payload.size(), env.flow);
+  }
+  return nullptr;
+}
+
+void Tracer::recv_posted(rank_t owner, rank_t source, context_t ctx,
+                         tag_t tag, std::size_t capacity) {
+  instant(owner, TraceOp::post_recv, "post_recv", source, ctx, tag, capacity);
+}
+
+void Tracer::recv_completed(rank_t owner, const char* op, const Status& status,
+                            context_t ctx, std::uint64_t flow,
+                            std::uint64_t t0_ns, std::uint64_t t1_ns) {
+  record(owner, {t0_ns, t1_ns, TraceOp::recv, true, op, status.source, ctx,
+                 status.tag, status.bytes, flow});
+}
+
+void Tracer::wait_unblocked(rank_t owner, const BlockedWait& wait,
+                            std::uint64_t t1_ns) {
+  record(owner, {wait.t0_ns, t1_ns, TraceOp::blocked, true, wait.label,
+                 wait.waits_on, wait.context, wait.tag});
+}
+
+void Tracer::fault_fired(rank_t rank, const char* name, rank_t peer,
+                         context_t ctx, tag_t tag, std::uint64_t detail) {
+  instant(rank, TraceOp::fault, name, peer, ctx, tag, detail);
 }
 
 void Tracer::set_track_name(rank_t world_rank, std::string name) {
@@ -315,31 +340,6 @@ std::vector<TraceReport::RankBlocked> TraceReport::blocked_breakdown() const {
 // Chrome trace-event JSON export
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-/// Nanoseconds as a microsecond decimal ("1234.567") — the trace-event
-/// `ts`/`dur` unit — without any floating-point rounding.
 std::string us_string(std::uint64_t ns) {
   std::string out = std::to_string(ns / 1000);
   const std::uint64_t frac = ns % 1000;
@@ -349,8 +349,6 @@ std::string us_string(std::uint64_t ns) {
   out += static_cast<char>('0' + frac % 10);
   return out;
 }
-
-}  // namespace
 
 std::string TraceReport::to_chrome_json() const {
   std::string out;
@@ -363,14 +361,14 @@ std::string TraceReport::to_chrome_json() const {
     out += ",\n";
     out += R"({"name":"thread_name","ph":"M","pid":0,"tid":)" + tid +
            R"(,"args":{"name":")";
-    append_escaped(out, r.track);
+    append_json_escaped(out, r.track);
     out += "\"}}";
     out += ",\n";
     out += R"({"name":"thread_sort_index","ph":"M","pid":0,"tid":)" + tid +
            R"(,"args":{"sort_index":)" + tid + "}}";
     for (const TraceEvent& e : r.events) {
       out += ",\n{\"name\":\"";
-      append_escaped(out, e.name);
+      append_json_escaped(out, e.name);
       out += "\",\"cat\":\"";
       out += trace_op_category(e.op);
       out += "\",\"pid\":0,\"tid\":" + tid;
@@ -415,9 +413,9 @@ std::string TraceReport::to_chrome_json() const {
   for (std::size_t i = 0; i < traffic.size(); ++i) {
     if (i > 0) out += ", ";
     out += "{\"src\": \"";
-    append_escaped(out, traffic[i].src);
+    append_json_escaped(out, traffic[i].src);
     out += "\", \"dest\": \"";
-    append_escaped(out, traffic[i].dest);
+    append_json_escaped(out, traffic[i].dest);
     out += "\", \"messages\": " + std::to_string(traffic[i].messages) +
            ", \"bytes\": " + std::to_string(traffic[i].bytes) + "}";
   }
@@ -427,7 +425,7 @@ std::string TraceReport::to_chrome_json() const {
     const RankTrace& r = ranks[i];
     if (i > 0) out += ", ";
     out += "\n{\"rank\": " + std::to_string(r.world_rank) + ", \"track\": \"";
-    append_escaped(out, r.track);
+    append_json_escaped(out, r.track);
     out += "\", \"events\": " + std::to_string(r.events.size()) +
            ", \"dropped\": " + std::to_string(r.dropped) +
            ", \"queueHighWater\": " + std::to_string(r.queue_high_water);
@@ -440,7 +438,7 @@ std::string TraceReport::to_chrome_json() const {
     for (std::size_t c = 0; c < r.counters.size(); ++c) {
       if (c > 0) out += ", ";
       out += "{\"name\": \"";
-      append_escaped(out, r.counters[c].first);
+      append_json_escaped(out, r.counters[c].first);
       out += "\", \"value\": " + std::to_string(r.counters[c].second) + "}";
     }
     out += "]}";

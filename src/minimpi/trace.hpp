@@ -11,8 +11,8 @@
 //
 // Off-path cost: tracing is enabled per job (JobOptions::trace or the
 // MINIMPI_TRACE environment variable).  When off, Job::tracer() is null and
-// every instrumentation point is a branch on a null pointer — the same
-// pass-through discipline as the Checker and Scheduler hook layers.
+// the mailbox's observer seam (hooks.hpp) does not include the tracer, so
+// every instrumentation point is a branch on a null pointer.
 //
 // Ring discipline: multi-producer (deliver-side events land on the
 // *receiver's* ring from the sender's thread), drop-oldest.  A writer
@@ -45,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/minimpi/hooks.hpp"
 #include "src/minimpi/metrics.hpp"
 #include "src/minimpi/racer/atomic.hpp"
 #include "src/minimpi/types.hpp"
@@ -137,7 +138,7 @@ struct TraceEvent {
 /// comment for the claim/stamp protocol.  Readers may snapshot while
 /// writers are active (the tsan contention test does); torn slots are
 /// counted as dropped, never returned.
-class TraceRing {
+class alignas(64) TraceRing {
  public:
   explicit TraceRing(std::size_t capacity);
 
@@ -191,9 +192,12 @@ class TraceRing {
 
 /// The per-job trace collector: one ring per world rank plus mutex-guarded
 /// cold metadata (track names, named counters).  Null when tracing is off.
-class Tracer {
+/// As an Observer it records the mailbox's send, post, match, receive and
+/// blocked events and the fault injector's firings.
+class Tracer final : public Observer {
  public:
-  Tracer(int world_size, TraceOptions options);
+  /// `clock` (the job clock; it must outlive the tracer) stamps events.
+  Tracer(int world_size, TraceOptions options, const JobClock& clock);
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -202,8 +206,8 @@ class Tracer {
     return options_;
   }
 
-  /// Nanoseconds since this tracer's construction (steady clock).
-  [[nodiscard]] std::uint64_t now_ns() const noexcept;
+  /// The clock events are stamped with (the job clock).
+  [[nodiscard]] const JobClock& clock() const noexcept { return clock_; }
 
   /// Record an instant on `ring`'s timeline (out-of-range rings are
   /// ignored).  `name` must point to static storage.
@@ -212,7 +216,7 @@ class Tracer {
                tag_t tag = any_tag, std::uint64_t bytes = 0,
                std::uint64_t flow = 0) noexcept;
 
-  /// Record a span that started at `t_start_ns` (from now_ns()) and ends
+  /// Record a span that started at `t_start_ns` (from clock()) and ends
   /// now.  Spans are recorded whole at their end, so no begin/end pairing
   /// is ever needed downstream.
   void span_end(rank_t ring, TraceOp op, const char* name,
@@ -241,14 +245,40 @@ class Tracer {
     return *rings_[i];
   }
 
+  // --- Observer events ----------------------------------------------------
+
+  /// Stamps the flow id; records "send" ("control_send" for control tags).
+  void envelope_sent(Envelope& env, rank_t dest) override;
+  /// Posted receives only: the "recv_match" instant.
+  std::exception_ptr envelope_matched(rank_t owner, const Envelope& env,
+                                      const TypeSig& expected,
+                                      std::size_t capacity,
+                                      bool posted) override;
+  void recv_posted(rank_t owner, rank_t source, context_t ctx, tag_t tag,
+                   std::size_t capacity) override;
+  void recv_completed(rank_t owner, const char* op, const Status& status,
+                      context_t ctx, std::uint64_t flow, std::uint64_t t0_ns,
+                      std::uint64_t t1_ns) override;
+  void wait_unblocked(rank_t owner, const BlockedWait& wait,
+                      std::uint64_t t1_ns) override;
+  void fault_fired(rank_t rank, const char* name, rank_t peer, context_t ctx,
+                   tag_t tag, std::uint64_t detail) override;
+
  private:
   friend class Job;  // drains rings + metadata into a TraceReport
 
+  /// Record one event on `ring`'s timeline (out-of-range rings ignored).
+  void record(rank_t ring, const TraceEvent& event) noexcept;
+
   TraceOptions options_;
-  std::chrono::steady_clock::time_point epoch_;
+  const JobClock& clock_;
   std::vector<std::unique_ptr<TraceRing>> rings_;
   /// Per-rank flow-id sequences (relaxed — ordering comes from the events).
-  std::unique_ptr<mph::atomic<std::uint64_t>[]> flow_seq_;
+  /// One cache line each: ranks on different cores never share one.
+  struct alignas(64) FlowSeq {
+    mph::atomic<std::uint64_t> next{0};
+  };
+  std::unique_ptr<FlowSeq[]> flow_seq_;
 
   mutable std::mutex meta_mutex_;
   std::vector<std::string> track_names_;
@@ -266,7 +296,7 @@ class TraceSpan {
         op_(op),
         tag_(tag),
         name_(name),
-        t0_(tracer != nullptr ? tracer->now_ns() : 0) {}
+        t0_(tracer != nullptr ? tracer->clock().now_ns() : 0) {}
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -290,6 +320,10 @@ class TraceSpan {
 // ---------------------------------------------------------------------------
 // Report
 // ---------------------------------------------------------------------------
+
+/// Nanoseconds as a microsecond decimal ("1234.567") — the trace-event
+/// `ts`/`dur` unit — without any floating-point rounding.
+[[nodiscard]] std::string us_string(std::uint64_t ns);
 
 /// One rank's drained timeline.
 struct RankTrace {

@@ -116,13 +116,10 @@ void VerifyScheduler::rank_finished(rank_t world_rank) {
   monitor_cv_.notify_all();
 }
 
-ClockStamp VerifyScheduler::on_send(rank_t src, rank_t dest, context_t ctx,
-                                    tag_t tag) {
-  (void)dest;
-  (void)ctx;
-  (void)tag;
+bool VerifyScheduler::admit(Envelope& env, rank_t /*dest*/) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (src < 0 || src >= static_cast<rank_t>(ranks_.size())) return nullptr;
+  const rank_t src = env.src;
+  if (src < 0 || src >= static_cast<rank_t>(ranks_.size())) return true;
   const auto s = static_cast<std::size_t>(src);
   // This is the sender's own thread: if it was marked polling it is now
   // visibly progressing.
@@ -133,47 +130,46 @@ ClockStamp VerifyScheduler::on_send(rank_t src, rank_t dest, context_t ctx,
   std::vector<std::uint64_t>& clock = clocks_[s];
   clock[s] += 1;
   ++version_;
-  return std::make_shared<const std::vector<std::uint64_t>>(clock);
+  env.vc = std::make_shared<const std::vector<std::uint64_t>>(clock);
+  return true;
 }
 
-void VerifyScheduler::note_delivery(rank_t dest) {
+void VerifyScheduler::envelope_delivered(rank_t owner,
+                                         const Envelope& /*env*/) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (dest < 0 || dest >= static_cast<rank_t>(ranks_.size())) return;
-  ranks_[static_cast<std::size_t>(dest)].epoch += 1;
+  if (owner < 0 || owner >= static_cast<rank_t>(ranks_.size())) return;
+  ranks_[static_cast<std::size_t>(owner)].epoch += 1;
   ++version_;
 }
 
-void VerifyScheduler::on_match(rank_t dest, rank_t src, context_t ctx,
-                               tag_t tag, const ClockStamp& stamp) {
-  (void)src;
-  (void)ctx;
-  (void)tag;
+std::exception_ptr VerifyScheduler::envelope_matched(
+    rank_t owner, const Envelope& env, const TypeSig& /*expected*/,
+    std::size_t /*capacity*/, bool /*posted*/) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (dest < 0 || dest >= static_cast<rank_t>(ranks_.size())) return;
-  const auto d = static_cast<std::size_t>(dest);
+  if (owner < 0 || owner >= static_cast<rank_t>(ranks_.size())) return nullptr;
+  const auto d = static_cast<std::size_t>(owner);
   std::vector<std::uint64_t>& clock = clocks_[d];
-  if (stamp != nullptr) {
+  if (const ClockStamp& stamp = env.vc; stamp != nullptr) {
     const std::size_t n = std::min(clock.size(), stamp->size());
     for (std::size_t i = 0; i < n; ++i) {
       clock[i] = std::max(clock[i], (*stamp)[i]);
     }
   }
   clock[d] += 1;
-  // NB: no run-state change — on_match may run on the *sender's* thread
-  // (a delivery completing a posted receive); only the owner's own thread
-  // moves its state.
+  // NB: no run-state change — a posted receive's match runs on the
+  // *sender's* thread; only the owner's own thread moves its state.
+  return nullptr;
 }
 
-void VerifyScheduler::note_blocked(rank_t owner, rank_t waits_on,
-                                   const char* op, context_t ctx, tag_t tag) {
+void VerifyScheduler::wait_blocked(rank_t owner, const BlockedWait& wait) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (owner < 0 || owner >= static_cast<rank_t>(ranks_.size())) return;
   RankState& st = ranks_[static_cast<std::size_t>(owner)];
   st.state = RunState::blocked;
-  st.waits_on = waits_on;
-  st.op = op;
-  st.ctx = ctx;
-  st.tag = tag;
+  st.waits_on = wait.waits_on;
+  st.op = wait.op;
+  st.ctx = wait.context;
+  st.tag = wait.tag;
   st.spins = 0;
   // Same critical section as the failed match check (caller holds the
   // owner's mailbox mutex), so seen_epoch == epoch proves the owner has
@@ -182,15 +178,8 @@ void VerifyScheduler::note_blocked(rank_t owner, rank_t waits_on,
   ++version_;
 }
 
-void VerifyScheduler::note_still_blocked(rank_t owner) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (owner < 0 || owner >= static_cast<rank_t>(ranks_.size())) return;
-  RankState& st = ranks_[static_cast<std::size_t>(owner)];
-  if (st.state == RunState::blocked) st.seen_epoch = st.epoch;
-  ++version_;
-}
-
-void VerifyScheduler::note_unblocked(rank_t owner) {
+void VerifyScheduler::wait_unblocked(rank_t owner, const BlockedWait& /*wait*/,
+                                     std::uint64_t /*t1_ns*/) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (owner < 0 || owner >= static_cast<rank_t>(ranks_.size())) return;
   RankState& st = ranks_[static_cast<std::size_t>(owner)];
@@ -199,7 +188,9 @@ void VerifyScheduler::note_unblocked(rank_t owner) {
   ++version_;
 }
 
-void VerifyScheduler::note_polling(rank_t owner) {
+void VerifyScheduler::poll_missed(rank_t owner, rank_t /*source*/,
+                                  const char* /*op*/, context_t /*ctx*/,
+                                  tag_t /*tag*/) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (owner < 0 || owner >= static_cast<rank_t>(ranks_.size())) return;
   RankState& st = ranks_[static_cast<std::size_t>(owner)];

@@ -18,9 +18,9 @@
 //   * one monitor thread detects quiescence, reads candidate sets, asks the
 //     engine for decisions, and releases held ranks;
 //   * only a rank's OWN thread ever changes its run-state — foreign-thread
-//     hooks (on_match, note_delivery) touch only epochs, clocks, and the
-//     validation version counter.  This is what keeps a held rank from
-//     being unmarked behind its back and hanging forever.
+//     hooks (envelope_matched, envelope_delivered) touch only epochs,
+//     clocks, and the validation version counter.  This is what keeps a
+//     held rank from being unmarked behind its back and hanging forever.
 //
 // Lock order: mailbox mutex -> scheduler mutex is allowed; the scheduler
 // never takes a mailbox mutex while holding its own (the monitor snapshots
@@ -36,7 +36,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/minimpi/schedule.hpp"
+#include "src/minimpi/hooks.hpp"
 #include "src/minimpi/types.hpp"
 
 namespace minimpi {
@@ -91,16 +91,19 @@ class VerifyScheduler final : public Scheduler {
   void stop() override;
   void rank_started(rank_t world_rank) override;
   void rank_finished(rank_t world_rank) override;
-  ClockStamp on_send(rank_t src, rank_t dest, context_t ctx,
-                     tag_t tag) override;
-  void note_delivery(rank_t dest) override;
-  void on_match(rank_t dest, rank_t src, context_t ctx, tag_t tag,
-                const ClockStamp& stamp) override;
-  void note_blocked(rank_t owner, rank_t waits_on, const char* op,
-                    context_t ctx, tag_t tag) override;
-  void note_still_blocked(rank_t owner) override;
-  void note_unblocked(rank_t owner) override;
-  void note_polling(rank_t owner) override;
+  /// Stamps the envelope with the sender's vector clock.
+  bool admit(Envelope& env, rank_t dest) override;
+  void envelope_delivered(rank_t owner, const Envelope& env) override;
+  /// Joins the envelope's send clock into the receiver's.
+  std::exception_ptr envelope_matched(rank_t owner, const Envelope& env,
+                                      const TypeSig& expected,
+                                      std::size_t capacity,
+                                      bool posted) override;
+  void wait_blocked(rank_t owner, const BlockedWait& wait) override;
+  void wait_unblocked(rank_t owner, const BlockedWait& wait,
+                      std::uint64_t t1_ns) override;
+  void poll_missed(rank_t owner, rank_t source, const char* op, context_t ctx,
+                   tag_t tag) override;
   rank_t resolve_wildcard(rank_t owner, context_t ctx, tag_t tag,
                           const char* op) override;
   rank_t resolve_immediate(rank_t owner, context_t ctx, tag_t tag,

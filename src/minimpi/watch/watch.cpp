@@ -8,8 +8,11 @@
 
 #include "src/minimpi/prof/profile.hpp"
 #include "src/util/diagnostics.hpp"
+#include "src/util/json.hpp"
 
 namespace minimpi::watch {
+
+using mph::util::append_json_escaped;
 
 // ---------------------------------------------------------------------------
 // Options
@@ -120,27 +123,6 @@ const char* severity_name(Severity severity) noexcept {
 }
 
 namespace {
-
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 std::string json_number(double value) {
   // JSON has no infinity/NaN; clamp the pathological cases to 0.

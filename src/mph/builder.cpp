@@ -1,7 +1,5 @@
 #include "src/mph/builder.hpp"
 
-#include <sstream>
-
 #include "src/mph/errors.hpp"
 
 namespace mph {
@@ -71,30 +69,7 @@ RegistryBuilder& RegistryBuilder::multi_instance(
 }
 
 std::string RegistryBuilder::to_text() const {
-  // Serialize through a throw-away Registry-shaped writer: reuse the model
-  // serializer by round-tripping the blocks.
-  std::ostringstream out;
-  out << "BEGIN\n";
-  for (const ExecutableBlock& block : blocks_) {
-    if (block.kind == BlockKind::multi_component) {
-      out << "Multi_Component_Begin\n";
-    } else if (block.kind == BlockKind::multi_instance) {
-      out << "Multi_Instance_Begin\n";
-    }
-    for (const ComponentEntry& c : block.components) {
-      out << c.name;
-      if (c.has_range()) out << ' ' << c.low << ' ' << c.high;
-      for (const std::string& token : c.args.to_tokens()) out << ' ' << token;
-      out << '\n';
-    }
-    if (block.kind == BlockKind::multi_component) {
-      out << "Multi_Component_End\n";
-    } else if (block.kind == BlockKind::multi_instance) {
-      out << "Multi_Instance_End\n";
-    }
-  }
-  out << "END\n";
-  return out.str();
+  return Registry::to_text(blocks_);
 }
 
 Registry RegistryBuilder::build() const {

@@ -10,7 +10,6 @@
 #include "src/mph/layout.hpp"
 #include "src/util/diagnostics.hpp"
 #include "src/util/strings.hpp"
-#include "src/util/timer.hpp"
 
 namespace mph {
 
@@ -59,14 +58,66 @@ bool block_is_disjoint(const ExecutableBlock& block) {
   return true;
 }
 
+/// Index of the executable run covering world rank `me`, or -1.
+int run_of(const std::vector<ExecutableRun>& runs, rank_t me) {
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (me >= runs[r].base && me < runs[r].base + runs[r].size) {
+      return static_cast<int>(r);
+    }
+  }
+  return -1;
+}
+
+/// Label this rank (result.world, run result.exec_index, executable-
+/// relative rank `rel` of `block`) with its primary component — for
+/// failure reports, the monitor's per-component rollup, and the trace track
+/// in the paper's component[instance]:local_rank naming — and, under MIME
+/// isolation, register it into its instance's failure domain.  Returns the
+/// primary component id, or -1 (nothing labelled) when no component of the
+/// block covers `rel`.
+int adopt_primary_component(minimpi::Job& job, const HandshakeResult& result,
+                            const ExecutableBlock& block, rank_t rel,
+                            const HandshakeOptions& options) {
+  const std::vector<int>& ids =
+      result.directory.execs()[static_cast<std::size_t>(result.exec_index)]
+          .component_ids;
+  int primary = -1;
+  rank_t local = rel;  // rank within the primary component
+  if (block.kind == BlockKind::single) {
+    primary = ids.front();
+  } else {
+    for (std::size_t i = 0; i < block.components.size(); ++i) {
+      const ComponentEntry& c = block.components[i];
+      if (rel >= c.low && rel <= c.high) {
+        primary = ids[i];
+        local = rel - c.low;
+        break;
+      }
+    }
+  }
+  if (primary < 0) return -1;
+  const ComponentRecord& record = result.directory.component(primary);
+  const rank_t me = result.world.rank();
+  job.set_rank_label(me, record.name);
+  if (minimpi::MetricsRegistry* metrics = job.metrics()) {
+    metrics->set_component(me, record.name);
+  }
+  if (minimpi::Tracer* tracer = job.tracer()) {
+    tracer->set_track_name(me, record.name + ":" + std::to_string(local));
+  }
+  if (options.isolate_instances && block.kind == BlockKind::multi_instance) {
+    job.join_domain(me, primary, record.name);
+  }
+  return primary;
+}
+
 }  // namespace
 
 HandshakeResult handshake(const Comm& world, const Registry& registry,
                           const LocalDeclaration& declaration,
                           const HandshakeOptions& options) {
-  const u::Timer timer;
   minimpi::Tracer* tracer = world.job().tracer();
-  minimpi::MetricsRegistry* metrics = world.job().metrics();
+  const minimpi::JobClock& clock = world.job().clock();
   const minimpi::TraceSpan phase(tracer, world.global_of(world.rank()),
                                  minimpi::TraceOp::phase, "handshake",
                                  minimpi::kPhaseHandshake);
@@ -74,15 +125,19 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
   // early) so the monitor's per-rank handshake_ns gauge is always set.
   struct HandshakeClock {
     minimpi::MetricsRegistry* metrics;
+    const minimpi::JobClock& clock;
     minimpi::rank_t rank;
     std::uint64_t t0;
+    [[nodiscard]] std::uint64_t micros() const {
+      return (clock.now_ns() - t0) / 1000;
+    }
     ~HandshakeClock() {
       if (metrics != nullptr) {
-        metrics->set_handshake_ns(rank, metrics->now_ns() - t0);
+        metrics->set_handshake_ns(rank, clock.now_ns() - t0);
       }
     }
-  } handshake_clock{metrics, world.global_of(world.rank()),
-                    metrics != nullptr ? metrics->now_ns() : 0};
+  } handshake_clock{world.job().metrics(), clock,
+                    world.global_of(world.rank()), clock.now_ns()};
   validate_declaration(declaration);
 
   // --- Steps 1-2 (§6): allgather signatures, derive executable runs. ------
@@ -124,8 +179,7 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
   // --- Step 3: match runs against the registry, build the directory. ------
   // Deterministic from identical inputs, so every rank throws (or not)
   // identically — errors never strand a subset of ranks in a collective.
-  const std::uint64_t t_layout =
-      tracer != nullptr ? tracer->now_ns() : 0;
+  const std::uint64_t t_layout = clock.now_ns();
   LayoutResolution resolution = resolve_layout(registry, runs);
   if (tracer != nullptr) {
     tracer->span_end(world.global_of(world.rank()), minimpi::TraceOp::phase,
@@ -148,15 +202,8 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
     world.job().put_shared(kSignaturesKey, u::join(signatures, "\n"));
   }
 
-  // Locate my run.
   const rank_t my_world = world.rank();
-  int my_run = -1;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (my_world >= runs[r].base && my_world < runs[r].base + runs[r].size) {
-      my_run = static_cast<int>(r);
-      break;
-    }
-  }
+  const int my_run = run_of(runs, my_world);
   if (my_run < 0) {
     // find_runs covers every rank of the allgathered signature vector, so
     // this indicates a substrate bug (e.g. a short allgather) — fail loudly
@@ -174,48 +221,9 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
           resolution.block_of_run[static_cast<std::size_t>(my_run)])];
   const rank_t rel = my_world - run.base;  // executable-relative rank
 
-  // Label this rank with its primary component for failure reports, and —
-  // under MIME isolation — register ensemble members into per-instance
-  // failure domains.  Both must happen before the first split: a failure
-  // during communicator creation should already be attributed (and
-  // contained) correctly.
-  {
-    const std::vector<int>& ids =
-        result.directory.execs()[static_cast<std::size_t>(my_run)]
-            .component_ids;
-    int primary = -1;
-    rank_t local = rel;  // rank within the primary component
-    if (my_block.kind == BlockKind::single) {
-      primary = ids.front();
-    } else {
-      for (std::size_t i = 0; i < my_block.components.size(); ++i) {
-        const ComponentEntry& c = my_block.components[i];
-        if (rel >= c.low && rel <= c.high) {
-          primary = ids[i];
-          local = rel - c.low;
-          break;
-        }
-      }
-    }
-    if (primary >= 0) {
-      const ComponentRecord& record = result.directory.component(primary);
-      world.job().set_rank_label(my_world, record.name);
-      if (metrics != nullptr) {
-        // The monitor's per-component rollup keys off this name.
-        metrics->set_component(my_world, record.name);
-      }
-      if (tracer != nullptr) {
-        // Trace tracks read in the paper's naming scheme:
-        // component[instance]:local_rank.
-        tracer->set_track_name(my_world,
-                               record.name + ":" + std::to_string(local));
-      }
-      if (options.isolate_instances &&
-          my_block.kind == BlockKind::multi_instance) {
-        world.job().join_domain(my_world, primary, record.name);
-      }
-    }
-  }
+  // Before the first split: a failure during communicator creation should
+  // already be attributed (and contained) correctly.
+  (void)adopt_primary_component(world.job(), result, my_block, rel, options);
 
   // --- Step 4 (§6.1/§6.2): create communicators. ---------------------------
   const minimpi::TraceSpan comm_setup(tracer, my_world,
@@ -231,7 +239,7 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
     result.my_component_ids.push_back(my_component);
     result.my_component_comms.push_back(std::move(comp));
     MPH_DIAG_LOG(info) << "MPH handshake (fast path) done in "
-                       << timer.micros() << " us";
+                       << handshake_clock.micros() << " us";
     return result;
   }
 
@@ -305,18 +313,17 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
     }
   }
 
-  MPH_DIAG_LOG(info) << "MPH handshake done in " << timer.micros() << " us";
+  MPH_DIAG_LOG(info) << "MPH handshake done in " << handshake_clock.micros()
+                     << " us";
   return result;
 }
 
 HandshakeResult rejoin_handshake(const Comm& world,
                                  const LocalDeclaration& declaration,
                                  const HandshakeOptions& options) {
-  const u::Timer timer;
-  validate_declaration(declaration);
   minimpi::Job& job = world.job();
-  minimpi::Tracer* tracer = job.tracer();
-  minimpi::MetricsRegistry* metrics = job.metrics();
+  const std::uint64_t t0 = job.clock().now_ns();
+  validate_declaration(declaration);
   const rank_t my_world = world.rank();
 
   // Rebuild the layout from the blackboard instead of an allgather: the
@@ -358,13 +365,7 @@ HandshakeResult rejoin_handshake(const Comm& world,
   result.declaration = declaration;
   result.options = options;
 
-  int my_run = -1;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (my_world >= runs[r].base && my_world < runs[r].base + runs[r].size) {
-      my_run = static_cast<int>(r);
-      break;
-    }
-  }
+  const int my_run = run_of(runs, my_world);
   if (my_run < 0) {
     throw SetupError("rejoin: world rank " + std::to_string(my_world) +
                      " is not covered by any executable run");
@@ -376,39 +377,15 @@ HandshakeResult rejoin_handshake(const Comm& world,
           resolution.block_of_run[static_cast<std::size_t>(my_run)])];
   const rank_t rel = my_world - run.base;
 
-  const std::vector<int>& ids =
-      result.directory.execs()[static_cast<std::size_t>(my_run)].component_ids;
-  int primary = -1;
-  rank_t local = rel;
-  if (my_block.kind == BlockKind::single) {
-    primary = ids.front();
-  } else {
-    for (std::size_t i = 0; i < my_block.components.size(); ++i) {
-      const ComponentEntry& c = my_block.components[i];
-      if (rel >= c.low && rel <= c.high) {
-        primary = ids[i];
-        local = rel - c.low;
-        break;
-      }
-    }
-  }
+  // Idempotent for the domain: the heal kept it registered, so the
+  // replacement rank re-joins the same slot.
+  const int primary =
+      adopt_primary_component(job, result, my_block, rel, options);
   if (primary < 0) {
     throw SetupError("rejoin: world rank " + std::to_string(my_world) +
                      " is not covered by any component of its executable");
   }
   const ComponentRecord& record = result.directory.component(primary);
-  job.set_rank_label(my_world, record.name);
-  if (metrics != nullptr) metrics->set_component(my_world, record.name);
-  if (tracer != nullptr) {
-    tracer->set_track_name(my_world,
-                           record.name + ":" + std::to_string(local));
-  }
-  if (options.isolate_instances &&
-      my_block.kind == BlockKind::multi_instance) {
-    // Idempotent: the heal kept the domain registered, so the replacement
-    // rank re-joins the same slot.
-    job.join_domain(my_world, primary, record.name);
-  }
 
   // The only collective of the rejoin: the member communicator, over
   // exactly the ranks being respawned together.  Survivors are uninvolved.
@@ -425,7 +402,8 @@ HandshakeResult rejoin_handshake(const Comm& world,
   result.my_component_ids.push_back(primary);
   result.my_component_comms.push_back(std::move(comp));
   MPH_DIAG_LOG(info) << "MPH rejoin handshake for '" << record.name
-                     << "' done in " << timer.micros() << " us";
+                     << "' done in " << (job.clock().now_ns() - t0) / 1000
+                     << " us";
   return result;
 }
 

@@ -286,10 +286,10 @@ bool Registry::all_single_component() const noexcept {
                      });
 }
 
-std::string Registry::to_text() const {
+std::string Registry::to_text(const std::vector<ExecutableBlock>& blocks) {
   std::ostringstream out;
   out << "BEGIN\n";
-  for (const ExecutableBlock& block : blocks_) {
+  for (const ExecutableBlock& block : blocks) {
     if (block.kind == BlockKind::multi_component) {
       out << "Multi_Component_Begin\n";
     } else if (block.kind == BlockKind::multi_instance) {

@@ -112,7 +112,11 @@ class Registry {
 
   /// Serialize back to registry-file text (stable round-trip: parse ∘
   /// to_text ∘ parse is the identity on the model).
-  [[nodiscard]] std::string to_text() const;
+  [[nodiscard]] std::string to_text() const { return to_text(blocks_); }
+
+  /// The registry-file text of `blocks` (RegistryBuilder writes with it).
+  [[nodiscard]] static std::string to_text(
+      const std::vector<ExecutableBlock>& blocks);
 
   /// Paper limit: "Each executable could contain up to 10 components."
   static constexpr int kMaxComponentsPerExecutable = 10;

@@ -311,4 +311,25 @@ const JsonValue& JsonValue::at(std::size_t index) const {
   return arr[index];
 }
 
+void append_json_escaped(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr const char* hex = "0123456789abcdef";
+          out += "\\u00";
+          out += hex[(c >> 4) & 0xF];
+          out += hex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
 }  // namespace mph::util

@@ -1,4 +1,5 @@
-// json.hpp — a minimal read-only JSON parser.
+// json.hpp — a minimal read-only JSON parser, plus the string escaping every
+// JSON writer in the repo shares.
 //
 // Just enough JSON to consume the files this repo itself produces — the
 // mph_trace Chrome-trace export (TraceReport::to_chrome_json) and the
@@ -58,5 +59,9 @@ class JsonValue {
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
+
+/// Append `text` to `out` as the body of a JSON string: quote, backslash
+/// and control characters escaped, everything else (UTF-8) verbatim.
+void append_json_escaped(std::string& out, std::string_view text);
 
 }  // namespace mph::util

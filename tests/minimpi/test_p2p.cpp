@@ -206,6 +206,31 @@ TEST(P2P, RequestTestPolling) {
   });
 }
 
+TEST(P2P, DroppedRequestNeverWritesItsBuffer) {
+  // A posted receive whose Request is destroyed unconsumed — dropped here,
+  // left behind by a rank unwinding between irecv and wait in practice —
+  // keeps its place in the matching order but must never write the buffer
+  // it was posted with: that memory may already be freed.
+  run_ok(2, [](const Comm& world) {
+    if (world.rank() == 0) {
+      std::vector<int> buf(4, -1);
+      { const Request dropped = world.irecv(std::span<int>(buf), 1, 3); }
+      barrier(world);  // the peer sends only once the Request is gone
+      int marker = 0;
+      world.recv(marker, 1, 4);  // sent after tag 3, so tag 3 has landed
+      EXPECT_EQ(marker, 7);
+      EXPECT_EQ(buf, std::vector<int>(4, -1));
+      // The detached receive consumed the tag-3 message, in MPI order.
+      EXPECT_FALSE(world.iprobe(1, 3).has_value());
+    } else {
+      barrier(world);
+      const std::vector<int> payload{1, 2, 3, 4};
+      world.send(std::span<const int>(payload), 0, 3);
+      world.send(7, 0, 4);
+    }
+  });
+}
+
 TEST(P2P, InvalidRankThrows) {
   run_ok(2, [](const Comm& world) {
     EXPECT_THROW(world.send(1, 5, 0), Error);

@@ -1,0 +1,263 @@
+// The instrumentation seams and the job clock: the events a mailbox reports
+// to its observer, in order and with their lock context; how the seams are
+// wired; and the one time axis the tracer and the metrics registry share.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstring>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "src/minimpi/comm.hpp"
+#include "src/minimpi/launcher.hpp"
+#include "src/minimpi/mailbox.hpp"
+
+using namespace minimpi;
+
+namespace {
+
+/// Records every observer event by name, suffixed "*" when it ran under the
+/// mailbox mutex (probed from a helper thread, which can take the mutex
+/// only when the event's thread does not hold it).
+class Recorder final : public Observer {
+ public:
+  const Mailbox* box = nullptr;
+  std::vector<std::string> events;
+  std::atomic<bool> blocked_seen{false};
+
+  void envelope_sent(Envelope& /*env*/, rank_t /*dest*/) override {
+    note("sent");
+  }
+  void envelope_delivered(rank_t /*owner*/, const Envelope& /*env*/) override {
+    note("delivered");
+  }
+  std::exception_ptr envelope_matched(rank_t /*owner*/,
+                                      const Envelope& /*env*/,
+                                      const TypeSig& /*expected*/,
+                                      std::size_t /*capacity*/,
+                                      bool posted) override {
+    note(posted ? "matched(posted)" : "matched");
+    return nullptr;
+  }
+  void queue_depth_changed(rank_t /*owner*/, std::size_t depth) override {
+    note("depth=" + std::to_string(depth));
+  }
+  void recv_posted(rank_t /*owner*/, rank_t /*source*/, context_t /*ctx*/,
+                   tag_t /*tag*/, std::size_t /*capacity*/) override {
+    note("posted");
+  }
+  void recv_completed(rank_t /*owner*/, const char* op,
+                      const Status& /*status*/, context_t /*ctx*/,
+                      std::uint64_t /*flow*/, std::uint64_t t0_ns,
+                      std::uint64_t t1_ns) override {
+    EXPECT_LE(t0_ns, t1_ns);
+    note(std::string("completed(") + op + ")");
+  }
+  void request_consumed(rank_t /*owner*/) override { note("consumed"); }
+  void wait_blocked(rank_t /*owner*/, const BlockedWait& /*wait*/) override {
+    note("blocked");
+    blocked_seen = true;
+  }
+  void wait_unblocked(rank_t /*owner*/, const BlockedWait& /*wait*/,
+                      std::uint64_t /*t1_ns*/) override {
+    note("unblocked");
+  }
+  void poll_missed(rank_t /*owner*/, rank_t /*source*/, const char* op,
+                   context_t /*ctx*/, tag_t /*tag*/) override {
+    note(std::string("miss(") + op + ")");
+  }
+  void poll_hit(rank_t /*owner*/) override { note("hit"); }
+
+ private:
+  void note(std::string name) {
+    bool locked = false;
+    std::thread([&] { locked = box->busy(); }).join();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    events.push_back(locked ? name + "*" : name);
+  }
+  std::mutex mutex_;
+};
+
+/// Drops every envelope.
+class Dropper final : public Interposer {
+ public:
+  bool admit(Envelope& /*env*/, rank_t /*dest*/) override { return false; }
+};
+
+Envelope envelope(rank_t src, tag_t tag, int value) {
+  Envelope env;
+  env.src = src;
+  env.tag = tag;
+  env.payload.resize(sizeof value);
+  std::memcpy(env.payload.data(), &value, sizeof value);
+  return env;
+}
+
+std::span<std::byte> bytes_of(int& value) {
+  return std::as_writable_bytes(std::span<int>(&value, 1));
+}
+
+using Events = std::vector<std::string>;
+
+struct SeamFixture : ::testing::Test {
+  SeamFixture() { recorder.box = &box; }
+
+  mph::atomic<bool> abort_flag{false};
+  std::string abort_reason;
+  Recorder recorder;
+  Mailbox box{abort_flag, abort_reason, 0, &recorder};
+};
+
+}  // namespace
+
+TEST_F(SeamFixture, DeliverQueueThenReceive) {
+  box.deliver(envelope(1, 5, 42));
+  int got = 0;
+  box.recv(kWorldContext, 1, 5, bytes_of(got), Deadline::max());
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(recorder.events,
+            (Events{"sent", "delivered*", "depth=1*", "matched*", "depth=0*",
+                    "completed(recv)*"}));
+}
+
+TEST_F(SeamFixture, PostDeliverThenWait) {
+  int got = 0;
+  const auto ticket = box.post_recv(kWorldContext, 1, 5, bytes_of(got));
+  box.deliver(envelope(1, 5, 42));
+  box.wait(ticket, Deadline::max());
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(recorder.events,
+            (Events{"posted*", "sent", "delivered*", "matched(posted)*",
+                    "consumed*", "completed(wait)*"}));
+}
+
+TEST_F(SeamFixture, IprobeAndTestMissThenHit) {
+  EXPECT_FALSE(box.iprobe(kWorldContext, 1, 5).has_value());
+  int got = 0;
+  const auto ticket = box.post_recv(kWorldContext, 1, 6, bytes_of(got));
+  Status status;
+  EXPECT_FALSE(box.test(ticket, &status));
+  box.deliver(envelope(1, 5, 1));
+  EXPECT_TRUE(box.iprobe(kWorldContext, 1, 5).has_value());
+  box.deliver(envelope(1, 6, 2));
+  EXPECT_TRUE(box.test(ticket, &status));
+  EXPECT_EQ(got, 2);
+  EXPECT_EQ(recorder.events,
+            (Events{"miss(iprobe)*", "posted*", "miss(test)*", "sent",
+                    "delivered*", "depth=1*", "hit*", "sent", "delivered*",
+                    "matched(posted)*", "hit*", "consumed*"}));
+}
+
+TEST_F(SeamFixture, BlockedReceiveIsBracketed) {
+  std::thread sender([&] {
+    // Send once the receiver is blocked and waiting (mutex released).
+    while (!recorder.blocked_seen || box.busy()) std::this_thread::yield();
+    box.deliver(envelope(1, 5, 42));
+  });
+  int got = 0;
+  box.recv(kWorldContext, 1, 5, bytes_of(got), Deadline::max());
+  sender.join();
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(recorder.events,
+            (Events{"blocked*", "sent", "delivered*", "depth=1*",
+                    "unblocked*", "matched*", "depth=0*",
+                    "completed(recv)*"}));
+}
+
+TEST(Seams, InterposerDropHappensAfterTheObserversSawTheSend) {
+  mph::atomic<bool> abort_flag{false};
+  std::string abort_reason;
+  Recorder recorder;
+  Dropper dropper;
+  Mailbox box{abort_flag, abort_reason, 0, &recorder, &dropper};
+  recorder.box = &box;
+  box.deliver(envelope(1, 5, 42));
+  EXPECT_EQ(box.queued(), 0u);
+  EXPECT_EQ(recorder.events, (Events{"sent"}));
+}
+
+TEST(Seams, FanOutOnlyWhenSeveralLayersAreOn) {
+  Recorder a;
+  Recorder b;
+  std::unique_ptr<Observer> fan_out;
+  EXPECT_EQ(wire_observers({nullptr, nullptr}, fan_out), nullptr);
+  EXPECT_EQ(wire_observers({nullptr, &a}, fan_out), &a);
+  EXPECT_EQ(fan_out, nullptr);
+  Observer* both = wire_observers({&a, nullptr, &b}, fan_out);
+  ASSERT_NE(fan_out, nullptr);
+  EXPECT_EQ(both, fan_out.get());
+
+  mph::atomic<bool> abort_flag{false};
+  std::string abort_reason;
+  Mailbox box{abort_flag, abort_reason, 0, both};
+  a.box = &box;
+  b.box = &box;
+  box.deliver(envelope(1, 5, 42));
+  EXPECT_EQ(a.events, (Events{"sent", "delivered*", "depth=1*"}));
+  EXPECT_EQ(b.events, a.events);
+}
+
+TEST(JobClock, MatchLatencyIsTheTracedReceiveTimeOnOneEpoch) {
+  JobOptions options;
+  options.trace.enabled = true;
+  options.monitor.enabled = true;
+  options.monitor.interval = std::chrono::milliseconds(0);
+  std::uint64_t snapshot_ns = 0;
+  const JobReport report = run_spmd(
+      2,
+      [&](const Comm& world, const ExecEnv&) {
+        const rank_t peer = 1 - world.rank();
+        for (int i = 0; i < 20; ++i) {
+          int got = 0;
+          if (world.rank() == 0) {
+            world.send(i, peer, 0);
+            world.recv(got, peer, 1);
+          } else {
+            Request request = world.irecv(std::span<int>(&got, 1), peer, 0);
+            request.wait();
+            world.send(got, peer, 1);
+          }
+        }
+        if (world.rank() == 0) {
+          // A metrics snapshot bracketed by two trace instants: on one
+          // epoch its time falls between theirs.
+          Job& job = world.job();
+          job.tracer()->instant(0, TraceOp::phase, "before_snapshot");
+          snapshot_ns = job.metrics_snapshot().t_ns;
+          job.tracer()->instant(0, TraceOp::phase, "after_snapshot");
+        }
+      },
+      options);
+  ASSERT_TRUE(report.ok) << report.first_error();
+  ASSERT_TRUE(report.trace.has_value());
+  ASSERT_TRUE(report.metrics.has_value());
+
+  for (const RankTrace& rank : report.trace->ranks) {
+    std::uint64_t traced_ns = 0;
+    std::uint64_t spans = 0;
+    for (const TraceEvent& e : rank.events) {
+      if (e.op == TraceOp::recv && e.span) {
+        traced_ns += e.t_end_ns - e.t_start_ns;
+        ++spans;
+      }
+    }
+    const RankMetrics& metrics =
+        report.metrics->ranks[static_cast<std::size_t>(rank.world_rank)];
+    EXPECT_EQ(spans, 20u) << "rank " << rank.world_rank;
+    EXPECT_EQ(metrics.match_latency.count, spans) << "rank " << rank.world_rank;
+    EXPECT_EQ(metrics.match_latency.sum, traced_ns)
+        << "rank " << rank.world_rank;
+  }
+
+  std::uint64_t before_ns = 0;
+  std::uint64_t after_ns = 0;
+  for (const TraceEvent& e : report.trace->ranks[0].events) {
+    if (std::string(e.name) == "before_snapshot") before_ns = e.t_start_ns;
+    if (std::string(e.name) == "after_snapshot") after_ns = e.t_start_ns;
+  }
+  ASSERT_NE(after_ns, 0u);
+  EXPECT_LE(before_ns, snapshot_ns);
+  EXPECT_LE(snapshot_ns, after_ns);
+}

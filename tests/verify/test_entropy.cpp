@@ -88,7 +88,7 @@ std::vector<std::string> jitter_descriptions(std::uint64_t seed) {
   for (int i = 0; i < 3; ++i) {
     minimpi::Envelope env;
     env.src = 0;
-    (void)injector.filter(env, 1);
+    (void)injector.admit(env, 1);
   }
   for (const minimpi::FaultEvent& event : injector.events()) {
     out.push_back(event.description);
@@ -111,7 +111,7 @@ TEST(EntropyGuard, VirtualTimeSkipsRealSleeps) {
   minimpi::Envelope env;
   env.src = 0;
   const auto start = std::chrono::steady_clock::now();
-  (void)injector.filter(env, 1);
+  (void)injector.admit(env, 1);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::milliseconds(500));
   ASSERT_EQ(injector.events().size(), 1u);  // the rule still fired
