@@ -88,10 +88,9 @@ void BM_EnsembleRecover(benchmark::State& state) {
                   Mph h = Mph::multi_instance(
                       world, RegistrySource::from_text(kRegistry), "Run");
                   CheckpointStore store(store_dir);
-                  const RecoverySpec spec{&store};
                   benchmark::DoNotOptimize(
                       run_ensemble_instance(h, cfg, "statistics",
-                                            ckpt ? &spec : nullptr)
+                                            ckpt ? &store : nullptr)
                           .my_means);
                 },
                 {}},
@@ -102,10 +101,9 @@ void BM_EnsembleRecover(benchmark::State& state) {
                       world, RegistrySource::from_text(kRegistry),
                       {"statistics"});
                   CheckpointStore store(store_dir);
-                  const RecoverySpec spec{&store};
                   benchmark::DoNotOptimize(
                       run_ensemble_statistics(h, cfg, "Run", 0.5,
-                                              ckpt ? &spec : nullptr)
+                                              ckpt ? &store : nullptr)
                           .snapshots);
                 },
                 {}},
@@ -153,9 +151,8 @@ void BM_MemberRejoinHeal(benchmark::State& state) {
                               : Mph::rejoin_instance(world, "Run",
                                                      handshake);
                   CheckpointStore store(store_dir);
-                  const RecoverySpec spec{&store};
                   benchmark::DoNotOptimize(
-                      run_ensemble_instance(h, cfg, "statistics", &spec)
+                      run_ensemble_instance(h, cfg, "statistics", &store)
                           .my_means);
                 },
                 {}},
@@ -166,9 +163,8 @@ void BM_MemberRejoinHeal(benchmark::State& state) {
                       world, RegistrySource::from_text(kRegistry),
                       {"statistics"}, handshake);
                   CheckpointStore store(store_dir);
-                  const RecoverySpec spec{&store};
                   benchmark::DoNotOptimize(
-                      run_ensemble_statistics(h, cfg, "Run", 0.5, &spec)
+                      run_ensemble_statistics(h, cfg, "Run", 0.5, &store)
                           .snapshots);
                 },
                 {}},

@@ -104,13 +104,9 @@ void instance_main(const minimpi::Comm& world, const minimpi::ExecEnv& env) {
   }
 
   std::optional<mph::recover::CheckpointStore> store;
-  mph::climate::RecoverySpec spec;
-  if (!g_store_dir.empty()) {
-    store.emplace(g_store_dir);
-    spec.store = &*store;
-  }
+  if (!g_store_dir.empty()) store.emplace(g_store_dir);
   (void)mph::climate::run_ensemble_instance(h, make_config(), "statistics",
-                                            store ? &spec : nullptr);
+                                            store ? &*store : nullptr);
 }
 
 void statistics_main(const minimpi::Comm& world, const minimpi::ExecEnv& env) {
@@ -120,14 +116,10 @@ void statistics_main(const minimpi::Comm& world, const minimpi::ExecEnv& env) {
   const double gain = env.args.empty() ? 0.0 : std::atof(env.args[0].c_str());
 
   std::optional<mph::recover::CheckpointStore> store;
-  mph::climate::RecoverySpec spec;
-  if (!g_store_dir.empty()) {
-    store.emplace(g_store_dir);
-    spec.store = &*store;
-  }
+  if (!g_store_dir.empty()) store.emplace(g_store_dir);
   const mph::climate::EnsembleResult result =
       mph::climate::run_ensemble_statistics(h, make_config(), "Ocean", gain,
-                                            store ? &spec : nullptr);
+                                            store ? &*store : nullptr);
 
   std::printf("\nensemble SST statistics per coupling interval (gain=%.2f):\n",
               gain);

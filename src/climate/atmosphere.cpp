@@ -11,36 +11,36 @@ double radiative_t(const ClimateConfig& cfg, const Grid2D& grid, int row) {
 }  // namespace
 
 Atmosphere::Atmosphere(const ClimateConfig& cfg, const minimpi::Comm& comm)
-    : cfg_(cfg), comm_(comm), grid_(cfg.atm_nlon, cfg.atm_nlat),
-      field_(grid_, comm_), sst_(grid_, comm_) {
+    : ComponentModel(cfg, comm, cfg.atm_nlon, cfg.atm_nlat, "temperature",
+                     "SST import") {
   // Start at radiative equilibrium with a small zonal perturbation so the
   // diffusion term has work to do from step one.
-  field_.fill([&](int i, int j) {
+  state_.fill([&](int i, int j) {
     return radiative_t(cfg_, grid_, j) +
            0.5 * std::sin(grid_.longitude(i) * 3.0);
   });
 }
 
 void Atmosphere::step() {
-  field_.halo_exchange(comm_, tags::t_atm_to_cpl);
-  const int rows = field_.local_rows();
-  const int nlon = field_.nlon();
+  state_.halo_exchange(comm_, tags::t_atm_to_cpl);
+  const int rows = state_.local_rows();
+  const int nlon = state_.nlon();
   std::vector<double> next(static_cast<std::size_t>(rows * nlon));
   for (int r = 0; r < rows; ++r) {
-    const double teq = radiative_t(cfg_, grid_, field_.row_offset() + r);
+    const double teq = radiative_t(cfg_, grid_, state_.row_offset() + r);
     for (int i = 0; i < nlon; ++i) {
-      const double t = field_.at(r, i);
+      const double t = state_.at(r, i);
       double tendency = cfg_.atm_relax * (teq - t) +
-                        cfg_.atm_diffusion * field_.laplacian(r, i);
-      if (have_sst_) {
-        tendency += cfg_.air_sea_coupling * (sst_.at(r, i) - t);
+                        cfg_.atm_diffusion * state_.laplacian(r, i);
+      if (have_import_) {
+        tendency += cfg_.air_sea_coupling * (import_.at(r, i) - t);
       }
       next[static_cast<std::size_t>(r * nlon + i)] = t + cfg_.dt * tendency;
     }
   }
   for (int r = 0; r < rows; ++r) {
     for (int i = 0; i < nlon; ++i) {
-      field_.at(r, i) = next[static_cast<std::size_t>(r * nlon + i)];
+      state_.at(r, i) = next[static_cast<std::size_t>(r * nlon + i)];
     }
   }
   if (acc_.size() == 0) {
@@ -51,7 +51,7 @@ void Atmosphere::step() {
 
 std::vector<double> Atmosphere::export_temperature_mean() {
   if (acc_.samples() == 0) return export_temperature();
-  RowBlockField2D mean = field_;
+  RowBlockField2D mean = state_;
   const std::vector<double> local_mean = acc_.drain();
   const int nlon = mean.nlon();
   for (int r = 0; r < mean.local_rows(); ++r) {
@@ -60,11 +60,6 @@ std::vector<double> Atmosphere::export_temperature_mean() {
     }
   }
   return mean.gather(comm_);
-}
-
-void Atmosphere::import_sst(std::span<const double> sst_full_on_root) {
-  sst_.scatter(comm_, sst_full_on_root);
-  have_sst_ = true;
 }
 
 }  // namespace mph::climate

@@ -3,34 +3,29 @@
 namespace mph::climate {
 
 Land::Land(const ClimateConfig& cfg, const minimpi::Comm& comm)
-    : cfg_(cfg), comm_(comm), grid_(cfg.atm_nlon, cfg.atm_nlat),
-      moisture_(grid_, comm_), t_atm_(grid_, comm_) {
-  moisture_.fill([](int, int) { return 1.0; });  // uniformly moist bucket
+    : ComponentModel(cfg, comm, cfg.atm_nlon, cfg.atm_nlat, "moisture",
+                     "temperature import") {
+  state_.fill([](int, int) { return 1.0; });  // uniformly moist bucket
 }
 
 void Land::step() {
   // Bucket hydrology: dW/dt = P(T) - beta * W, with precipitation rising
   // with temperature above freezing (a crude Clausius-Clapeyron stand-in).
-  const int rows = moisture_.local_rows();
+  const int rows = state_.local_rows();
   for (int r = 0; r < rows; ++r) {
-    for (int i = 0; i < moisture_.nlon(); ++i) {
-      const double t = have_t_ ? t_atm_.at(r, i) : 10.0;
+    for (int i = 0; i < state_.nlon(); ++i) {
+      const double t = have_import_ ? import_.at(r, i) : 10.0;
       const double precip = cfg_.land_precip_rate * std::max(0.0, t);
-      const double evap = cfg_.land_beta * moisture_.at(r, i);
-      moisture_.at(r, i) =
-          std::max(0.0, moisture_.at(r, i) + cfg_.dt * (precip - evap));
+      const double evap = cfg_.land_beta * state_.at(r, i);
+      state_.at(r, i) =
+          std::max(0.0, state_.at(r, i) + cfg_.dt * (precip - evap));
     }
   }
 }
 
-void Land::import_temperature(std::span<const double> t_full_on_root) {
-  t_atm_.scatter(comm_, t_full_on_root);
-  have_t_ = true;
-}
-
 std::vector<double> Land::export_evaporation() const {
   // Evaporation field (beta * W), gathered to the component root.
-  RowBlockField2D evap = moisture_;
+  RowBlockField2D evap = state_;
   const int rows = evap.local_rows();
   for (int r = 0; r < rows; ++r) {
     for (int i = 0; i < evap.nlon(); ++i) {

@@ -23,25 +23,6 @@
 
 namespace mph::climate {
 
-namespace detail {
-/// Communication-free checkpoint restore of a row-decomposed field: every
-/// rank passes the same full global field and keeps only its own rows.
-/// Halo rows are left stale; the models' step() refreshes them first.
-inline void restore_full_field(RowBlockField2D& field, const Grid2D& grid,
-                               std::span<const double> full,
-                               const char* what) {
-  if (static_cast<std::int64_t>(full.size()) != grid.size()) {
-    throw std::invalid_argument(
-        std::string("restore_state: ") + what + " holds " +
-        std::to_string(full.size()) + " values, grid has " +
-        std::to_string(grid.size()));
-  }
-  field.fill([&](int i, int j) {
-    return full[static_cast<std::size_t>(grid.index(i, j))];
-  });
-}
-}  // namespace detail
-
 /// Shared configuration every component of a coupled run agrees on.
 struct ClimateConfig {
   // Grids: atmosphere/land share one grid, ocean/ice another.
@@ -85,9 +66,83 @@ inline constexpr int stat_down = 122;      ///< statistics -> instance
 inline constexpr int steer_field = 131;    ///< steering work repartition
 }  // namespace tags
 
+/// What the four component models share: the configuration, the component
+/// communicator, one row-decomposed prognostic field on the model's own
+/// grid, and the field last imported from the coupler.  Those two fields
+/// are the whole checkpointed state of a model (DESIGN.md §13), so the
+/// checkpoint accessors are written once, here.
+class ComponentModel {
+ public:
+  [[nodiscard]] const Grid2D& grid() const noexcept { return grid_; }
+
+  /// Area-weighted global mean of the prognostic field (collective).
+  [[nodiscard]] double global_mean() const {
+    return state_.global_mean(grid_, comm_);
+  }
+
+  // Checkpoint support: gather state to the component root for saving
+  // (empty off-root), restore communication-free from full global fields.
+  [[nodiscard]] std::vector<double> export_state_primary() const {
+    return state_.gather(comm_);
+  }
+  [[nodiscard]] std::vector<double> export_state_import() const {
+    return import_.gather(comm_);
+  }
+  [[nodiscard]] bool has_import() const noexcept { return have_import_; }
+  /// Every rank passes the same full global fields and keeps only its own
+  /// rows.  Halo rows are left stale; step() refreshes them first.
+  void restore_state(std::span<const double> primary_full,
+                     std::span<const double> import_full, bool has_import) {
+    restore_field(state_, primary_full, state_name_);
+    if (has_import) restore_field(import_, import_full, import_name_);
+    have_import_ = has_import;
+  }
+
+ protected:
+  /// `state_name`/`import_name` name the two fields in restore errors.
+  ComponentModel(const ClimateConfig& cfg, const minimpi::Comm& comm,
+                 int nlon, int nlat, const char* state_name,
+                 const char* import_name)
+      : cfg_(cfg), comm_(comm), grid_(nlon, nlat), state_(grid_, comm_),
+        import_(grid_, comm_), state_name_(state_name),
+        import_name_(import_name) {}
+
+  /// Scatter a full field from the component root into import_
+  /// (collective; `full_on_root` is read on the root only).
+  void set_import(std::span<const double> full_on_root) {
+    import_.scatter(comm_, full_on_root);
+    have_import_ = true;
+  }
+
+  ClimateConfig cfg_;
+  minimpi::Comm comm_;
+  Grid2D grid_;
+  RowBlockField2D state_;   ///< the prognostic field
+  RowBlockField2D import_;  ///< the field last imported from the coupler
+  bool have_import_ = false;
+
+ private:
+  void restore_field(RowBlockField2D& field, std::span<const double> full,
+                     const char* what) const {
+    if (static_cast<std::int64_t>(full.size()) != grid_.size()) {
+      throw std::invalid_argument(
+          std::string("restore_state: ") + what + " holds " +
+          std::to_string(full.size()) + " values, grid has " +
+          std::to_string(grid_.size()));
+    }
+    field.fill([&](int i, int j) {
+      return full[static_cast<std::size_t>(grid_.index(i, j))];
+    });
+  }
+
+  const char* state_name_;
+  const char* import_name_;
+};
+
 /// Atmosphere: temperature relaxed toward a latitude-dependent radiative
-/// equilibrium, diffused, and nudged toward the imported SST.
-class Atmosphere {
+/// equilibrium, diffused, and nudged toward the imported SST (state_ is
+/// the air temperature, import_ the SST on the atm grid).
+class Atmosphere : public ComponentModel {
  public:
   Atmosphere(const ClimateConfig& cfg, const minimpi::Comm& comm);
 
@@ -96,11 +151,13 @@ class Atmosphere {
 
   /// Import the sea surface temperature, already on the atm grid
   /// (full field significant on component root only).
-  void import_sst(std::span<const double> sst_full_on_root);
+  void import_sst(std::span<const double> sst_full_on_root) {
+    set_import(sst_full_on_root);
+  }
 
   /// Gather my instantaneous temperature onto the component root.
   [[nodiscard]] std::vector<double> export_temperature() const {
-    return field_.gather(comm_);
+    return state_.gather(comm_);
   }
 
   /// Gather the *time mean* temperature over the steps since the last
@@ -108,165 +165,62 @@ class Atmosphere {
   /// samples).  Collective; resets the accumulator.
   [[nodiscard]] std::vector<double> export_temperature_mean();
 
-  [[nodiscard]] double global_mean() const {
-    return field_.global_mean(grid_, comm_);
-  }
-  [[nodiscard]] const Grid2D& grid() const noexcept { return grid_; }
-
-  // Checkpoint support: gather state to the component root for saving
-  // (empty off-root), restore communication-free from full global fields.
-  [[nodiscard]] std::vector<double> export_state_primary() const {
-    return field_.gather(comm_);
-  }
-  [[nodiscard]] std::vector<double> export_state_import() const {
-    return sst_.gather(comm_);
-  }
-  [[nodiscard]] bool has_import() const noexcept { return have_sst_; }
-  void restore_state(std::span<const double> primary_full,
-                     std::span<const double> import_full, bool has_import) {
-    detail::restore_full_field(field_, grid_, primary_full, "temperature");
-    if (has_import) {
-      detail::restore_full_field(sst_, grid_, import_full, "SST import");
-    }
-    have_sst_ = has_import;
-  }
-
  private:
-  ClimateConfig cfg_;
-  minimpi::Comm comm_;
-  Grid2D grid_;
-  RowBlockField2D field_;  ///< air temperature
-  RowBlockField2D sst_;    ///< imported SST on the atm grid
   coupler::FieldAccumulator acc_;  ///< per-step accumulation for coupling
-  bool have_sst_ = false;
 };
 
-/// Slab ocean: SST diffused and forced by the imported surface flux.
-class Ocean {
+/// Slab ocean: SST diffused and forced by the imported surface flux
+/// (state_ is the SST, import_ the net surface flux).
+class Ocean : public ComponentModel {
  public:
   Ocean(const ClimateConfig& cfg, const minimpi::Comm& comm);
 
   void step();
-  void import_flux(std::span<const double> flux_full_on_root);
+  void import_flux(std::span<const double> flux_full_on_root) {
+    set_import(flux_full_on_root);
+  }
   [[nodiscard]] std::vector<double> export_sst() const {
-    return field_.gather(comm_);
+    return state_.gather(comm_);
   }
   /// Interval-mean SST (see Atmosphere::export_temperature_mean).
   [[nodiscard]] std::vector<double> export_sst_mean();
-  [[nodiscard]] double global_mean() const {
-    return field_.global_mean(grid_, comm_);
-  }
-  [[nodiscard]] const Grid2D& grid() const noexcept { return grid_; }
 
   /// Perturb the diffusivity (used by ensemble instances via MPH
   /// arguments) and nudge the whole state (dynamic ensemble control).
   void scale_diffusivity(double factor) { cfg_.ocn_diffusion *= factor; }
   void nudge(double delta);
 
-  // Checkpoint support (see Atmosphere).
-  [[nodiscard]] std::vector<double> export_state_primary() const {
-    return field_.gather(comm_);
-  }
-  [[nodiscard]] std::vector<double> export_state_import() const {
-    return flux_.gather(comm_);
-  }
-  [[nodiscard]] bool has_import() const noexcept { return have_flux_; }
-  void restore_state(std::span<const double> primary_full,
-                     std::span<const double> import_full, bool has_import) {
-    detail::restore_full_field(field_, grid_, primary_full, "SST");
-    if (has_import) {
-      detail::restore_full_field(flux_, grid_, import_full, "flux import");
-    }
-    have_flux_ = has_import;
-  }
-
  private:
-  ClimateConfig cfg_;
-  minimpi::Comm comm_;
-  Grid2D grid_;
-  RowBlockField2D field_;  ///< SST
-  RowBlockField2D flux_;   ///< imported net surface flux
   coupler::FieldAccumulator acc_;  ///< per-step accumulation for coupling
-  bool have_flux_ = false;
 };
 
 /// Land bucket hydrology on the atmosphere grid: soil moisture fed by
-/// temperature-dependent precipitation, drained by evaporation.
-class Land {
+/// temperature-dependent precipitation, drained by evaporation (state_ is
+/// the soil moisture, import_ the air temperature).
+class Land : public ComponentModel {
  public:
   Land(const ClimateConfig& cfg, const minimpi::Comm& comm);
 
   void step();
-  void import_temperature(std::span<const double> t_full_on_root);
+  void import_temperature(std::span<const double> t_full_on_root) {
+    set_import(t_full_on_root);
+  }
   [[nodiscard]] std::vector<double> export_evaporation() const;
-  [[nodiscard]] double global_mean() const {
-    return moisture_.global_mean(grid_, comm_);
-  }
-
-  // Checkpoint support (see Atmosphere).
-  [[nodiscard]] std::vector<double> export_state_primary() const {
-    return moisture_.gather(comm_);
-  }
-  [[nodiscard]] std::vector<double> export_state_import() const {
-    return t_atm_.gather(comm_);
-  }
-  [[nodiscard]] bool has_import() const noexcept { return have_t_; }
-  void restore_state(std::span<const double> primary_full,
-                     std::span<const double> import_full, bool has_import) {
-    detail::restore_full_field(moisture_, grid_, primary_full, "moisture");
-    if (has_import) {
-      detail::restore_full_field(t_atm_, grid_, import_full,
-                                 "temperature import");
-    }
-    have_t_ = has_import;
-  }
-
- private:
-  ClimateConfig cfg_;
-  minimpi::Comm comm_;
-  Grid2D grid_;
-  RowBlockField2D moisture_;
-  RowBlockField2D t_atm_;
-  bool have_t_ = false;
 };
 
-/// Zero-layer thermodynamic sea ice on the ocean grid.
-class SeaIce {
+/// Zero-layer thermodynamic sea ice on the ocean grid (state_ is the ice
+/// thickness, import_ the SST).
+class SeaIce : public ComponentModel {
  public:
   SeaIce(const ClimateConfig& cfg, const minimpi::Comm& comm);
 
   void step();
-  void import_sst(std::span<const double> sst_full_on_root);
+  void import_sst(std::span<const double> sst_full_on_root) {
+    set_import(sst_full_on_root);
+  }
   /// Ice fraction in [0,1) per cell, gathered to the component root.
   [[nodiscard]] std::vector<double> export_fraction() const;
-  [[nodiscard]] double global_mean_thickness() const {
-    return thickness_.global_mean(grid_, comm_);
-  }
-
-  // Checkpoint support (see Atmosphere).
-  [[nodiscard]] std::vector<double> export_state_primary() const {
-    return thickness_.gather(comm_);
-  }
-  [[nodiscard]] std::vector<double> export_state_import() const {
-    return sst_.gather(comm_);
-  }
-  [[nodiscard]] bool has_import() const noexcept { return have_sst_; }
-  void restore_state(std::span<const double> primary_full,
-                     std::span<const double> import_full, bool has_import) {
-    detail::restore_full_field(thickness_, grid_, primary_full, "thickness");
-    if (has_import) {
-      detail::restore_full_field(sst_, grid_, import_full, "SST import");
-    }
-    have_sst_ = has_import;
-  }
-
- private:
-  ClimateConfig cfg_;
-  minimpi::Comm comm_;
-  Grid2D grid_;
-  RowBlockField2D thickness_;
-  RowBlockField2D sst_;
-  bool have_sst_ = false;
+  [[nodiscard]] double global_mean_thickness() const { return global_mean(); }
 };
 
 }  // namespace mph::climate

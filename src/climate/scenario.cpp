@@ -19,72 +19,6 @@ namespace mph::climate {
 
 namespace {
 
-/// Root-mediated exchange helper: send my full export to the coupler root
-/// and receive my full import back (component root only; other ranks pass
-/// through with empty buffers).
-struct RootExchange {
-  mph::Mph& handle;
-  const std::string& coupler_name;
-
-  void send_export(std::span<const double> full, int tag) const {
-    if (handle.local_proc_id() == 0) {
-      handle.send(full, coupler_name, 0, tag);
-    }
-  }
-
-  std::vector<double> recv_import(std::size_t size, int tag) const {
-    std::vector<double> full;
-    if (handle.local_proc_id() == 0) {
-      full.resize(size);
-      handle.recv(std::span<double>(full), coupler_name, 0, tag);
-    }
-    return full;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Recovery helpers (DESIGN.md §13).  All of this is behind the
-// `recovery != nullptr` branch; a run without a RecoverySpec never reaches
-// any of it.
-// ---------------------------------------------------------------------------
-
-/// Restore a model from the checkpoint of `step` (all component ranks read
-/// the file independently — restore_state is communication-free).  Throws
-/// SetupError when the agreed step has no file (a pruned or lost store).
-template <class Model>
-void restore_model(const recover::CheckpointStore& store,
-                   const std::string& name, std::uint64_t step, Model& model,
-                   ComponentResult& result) {
-  const std::optional<recover::Checkpoint> ckpt = store.load_step(name, step);
-  if (!ckpt.has_value()) {
-    throw SetupError("recovery: component '" + name +
-                     "' has no checkpoint for the agreed restart step " +
-                     std::to_string(step) + " in " + store.dir());
-  }
-  const bool has_import = ckpt->flag("has_import");
-  const std::vector<double> import =
-      has_import ? ckpt->doubles("import") : std::vector<double>{};
-  model.restore_state(ckpt->doubles("primary"), import, has_import);
-  result.mean_series = ckpt->doubles("mean_series");
-}
-
-/// Checkpoint a model at the end of `interval` (collective over the
-/// component: all ranks gather, the root writes).
-template <class Model>
-void save_model(const recover::CheckpointStore& store, mph::Mph& h,
-                const Model& model, int interval,
-                const ComponentResult& result) {
-  const std::vector<double> primary = model.export_state_primary();
-  const std::vector<double> import = model.export_state_import();
-  if (h.local_proc_id() != 0) return;
-  recover::Checkpoint ckpt(static_cast<std::uint64_t>(interval));
-  ckpt.put_doubles("primary", primary);
-  ckpt.put_doubles("import", import);
-  ckpt.put_flag("has_import", model.has_import());
-  ckpt.put_doubles("mean_series", result.mean_series);
-  store.save(h.comp_name(), ckpt);
-}
-
 // ---------------------------------------------------------------------------
 // Steering helpers (the mph_watch closed loop, DESIGN.md §17).  Everything
 // sits behind the `steering != nullptr` branch; a run without a
@@ -192,185 +126,163 @@ class Steering {
   bool slow_ = false;
 };
 
-ComponentResult run_atmosphere(mph::Mph& h, const ClimateConfig& cfg,
-                               const std::string& coupler_name,
-                               const RecoverySpec* recovery,
-                               const SteeringSpec* steering, int start) {
-  Atmosphere model(cfg, h.comp_comm());
-  const RootExchange xch{h, coupler_name};
-  Steering steer(h, steering);
-  ComponentResult result{"atmosphere", {}, {}};
-  if (recovery != nullptr && start > 0) {
-    restore_model(*recovery->store, h.comp_name(),
-                  static_cast<std::uint64_t>(start - 1), model, result);
-  }
-  for (int interval = start; interval < cfg.intervals; ++interval) {
-    if (recovery != nullptr) {
-      h.world().fault_checkpoint(static_cast<std::uint64_t>(interval));
-    }
-    steer.interval_work();
-    for (int s = 0; s < cfg.steps_per_interval; ++s) model.step();
-    // The coupler sees the time mean over the interval, not a sample.
-    xch.send_export(model.export_temperature_mean(), tags::t_atm_to_cpl);
-    const std::vector<double> sst = xch.recv_import(
-        static_cast<std::size_t>(model.grid().size()), tags::sst_to_atm);
-    model.import_sst(sst);
-    result.mean_series.push_back(model.global_mean());
-    if (recovery != nullptr) {
-      save_model(*recovery->store, h, model, interval, result);
-    }
-    steer.boundary(interval, result);
-  }
-  steer.finish(result);
-  return result;
-}
+// ---------------------------------------------------------------------------
+// The coupling-interval loop.  One loop runs every role of the coupled
+// system; a role contributes only its interval body and its checkpointed
+// state.  Recovery (DESIGN.md §13) sits behind `store != nullptr`: a run
+// without a store never reaches a checkpoint.
+// ---------------------------------------------------------------------------
 
-ComponentResult run_ocean(mph::Mph& h, const ClimateConfig& cfg,
-                          const std::string& coupler_name,
-                          const RecoverySpec* recovery,
-                          const SteeringSpec* steering, int start) {
-  Ocean model(cfg, h.comp_comm());
-  const RootExchange xch{h, coupler_name};
-  Steering steer(h, steering);
-  ComponentResult result{"ocean", {}, {}};
-  if (recovery != nullptr && start > 0) {
-    restore_model(*recovery->store, h.comp_name(),
-                  static_cast<std::uint64_t>(start - 1), model, result);
-  }
-  for (int interval = start; interval < cfg.intervals; ++interval) {
-    if (recovery != nullptr) {
-      h.world().fault_checkpoint(static_cast<std::uint64_t>(interval));
-    }
-    steer.interval_work();
-    for (int s = 0; s < cfg.steps_per_interval; ++s) model.step();
-    xch.send_export(model.export_sst_mean(), tags::sst_to_cpl);
-    const std::vector<double> flux = xch.recv_import(
-        static_cast<std::size_t>(model.grid().size()), tags::flux_to_ocn);
-    model.import_flux(flux);
-    result.mean_series.push_back(model.global_mean());
-    if (recovery != nullptr) {
-      save_model(*recovery->store, h, model, interval, result);
-    }
-    steer.boundary(interval, result);
-  }
-  steer.finish(result);
-  return result;
-}
+/// A model role of the coupled system, as data: everything the interval
+/// loop needs that differs between the atmosphere, ocean, land and ice.
+/// The import always lands on the model's own grid, so its size is the
+/// grid's.
+template <class Model>
+struct ModelRole {
+  const char* component;  ///< ComponentResult::component
+  /// Collective gather of the field the coupler consumes.
+  std::vector<double> (*export_field)(Model&);
+  int export_tag;
+  void (Model::*import_field)(std::span<const double>);
+  int import_tag;
+};
 
-ComponentResult run_land(mph::Mph& h, const ClimateConfig& cfg,
-                         const std::string& coupler_name,
-                         const RecoverySpec* recovery,
-                         const SteeringSpec* steering, int start) {
-  Land model(cfg, h.comp_comm());
-  const RootExchange xch{h, coupler_name};
-  Steering steer(h, steering);
-  const auto atm_size = static_cast<std::size_t>(
-      static_cast<std::int64_t>(cfg.atm_nlon) * cfg.atm_nlat);
-  ComponentResult result{"land", {}, {}};
-  if (recovery != nullptr && start > 0) {
-    restore_model(*recovery->store, h.comp_name(),
-                  static_cast<std::uint64_t>(start - 1), model, result);
-  }
-  for (int interval = start; interval < cfg.intervals; ++interval) {
-    if (recovery != nullptr) {
-      h.world().fault_checkpoint(static_cast<std::uint64_t>(interval));
-    }
-    steer.interval_work();
-    for (int s = 0; s < cfg.steps_per_interval; ++s) model.step();
-    xch.send_export(model.export_evaporation(), tags::evap_to_cpl);
-    const std::vector<double> t_atm =
-        xch.recv_import(atm_size, tags::t_atm_to_land);
-    model.import_temperature(t_atm);
-    result.mean_series.push_back(model.global_mean());
-    if (recovery != nullptr) {
-      save_model(*recovery->store, h, model, interval, result);
-    }
-    steer.boundary(interval, result);
-  }
-  steer.finish(result);
-  return result;
-}
+/// Interval body of a model role: step the model, then exchange full
+/// fields root to root with the coupler (paper §6; the other component
+/// ranks take part in the gather and scatter only).  The checkpointed
+/// state is the model's two fields plus the mean series, identical on
+/// every component rank.
+template <class Model>
+class ModelBody {
+ public:
+  static constexpr bool kStateOnEveryRank = true;
 
-ComponentResult run_ice(mph::Mph& h, const ClimateConfig& cfg,
-                        const std::string& coupler_name,
-                        const RecoverySpec* recovery,
-                        const SteeringSpec* steering, int start) {
-  SeaIce model(cfg, h.comp_comm());
-  const RootExchange xch{h, coupler_name};
-  Steering steer(h, steering);
-  const auto ocn_size = static_cast<std::size_t>(
-      static_cast<std::int64_t>(cfg.ocn_nlon) * cfg.ocn_nlat);
-  ComponentResult result{"ice", {}, {}};
-  if (recovery != nullptr && start > 0) {
-    restore_model(*recovery->store, h.comp_name(),
-                  static_cast<std::uint64_t>(start - 1), model, result);
-  }
-  for (int interval = start; interval < cfg.intervals; ++interval) {
-    if (recovery != nullptr) {
-      h.world().fault_checkpoint(static_cast<std::uint64_t>(interval));
-    }
-    steer.interval_work();
-    for (int s = 0; s < cfg.steps_per_interval; ++s) model.step();
-    xch.send_export(model.export_fraction(), tags::ice_to_cpl);
-    const std::vector<double> sst = xch.recv_import(ocn_size, tags::sst_to_ice);
-    model.import_sst(sst);
-    result.mean_series.push_back(model.global_mean_thickness());
-    if (recovery != nullptr) {
-      save_model(*recovery->store, h, model, interval, result);
-    }
-    steer.boundary(interval, result);
-  }
-  steer.finish(result);
-  return result;
-}
+  ModelBody(mph::Mph& h, const ClimateConfig& cfg,
+            const std::string& coupler_name, const ModelRole<Model>& role)
+      : h_(h), cfg_(cfg), coupler_name_(coupler_name), role_(role),
+        model_(cfg, h.comp_comm()) {}
 
-ComponentResult run_coupler(mph::Mph& h, const ClimateConfig& cfg,
-                            const FluxCoupler::Peers& peers,
-                            const RecoverySpec* recovery,
-                            const SteeringSpec* steering, int start) {
-  FluxCoupler coupler(cfg, h, peers);
+  [[nodiscard]] const char* component() const { return role_.component; }
+
+  void advance(ComponentResult& result) {
+    for (int s = 0; s < cfg_.steps_per_interval; ++s) model_.step();
+    const std::vector<double> exported = role_.export_field(model_);
+    std::vector<double> imported;
+    if (h_.local_proc_id() == 0) {
+      h_.send(std::span<const double>(exported), coupler_name_, 0,
+              role_.export_tag);
+      imported.resize(static_cast<std::size_t>(model_.grid().size()));
+      h_.recv(std::span<double>(imported), coupler_name_, 0, role_.import_tag);
+    }
+    (model_.*role_.import_field)(imported);
+    result.mean_series.push_back(model_.global_mean());
+  }
+
+  /// Collective over the component (the fields are gathered to the root).
+  void save(recover::Checkpoint& ckpt, const ComponentResult& result) const {
+    ckpt.put_doubles("primary", model_.export_state_primary());
+    ckpt.put_doubles("import", model_.export_state_import());
+    ckpt.put_flag("has_import", model_.has_import());
+    ckpt.put_doubles("mean_series", result.mean_series);
+  }
+
+  /// Communication-free: every rank reads the file and keeps its rows.
+  void restore(const recover::Checkpoint& ckpt, ComponentResult& result) {
+    const bool has_import = ckpt.flag("has_import");
+    model_.restore_state(
+        ckpt.doubles("primary"),
+        has_import ? ckpt.doubles("import") : std::vector<double>{},
+        has_import);
+    result.mean_series = ckpt.doubles("mean_series");
+  }
+
+  void finish(ComponentResult& /*result*/) const {}
+
+ private:
+  mph::Mph& h_;
+  const ClimateConfig& cfg_;
+  const std::string& coupler_name_;
+  ModelRole<Model> role_;
+  Model model_;
+};
+
+/// Interval body of the coupler: one couple_once() per interval.  Its
+/// whole state is the diagnostics, and they live on the coupler's
+/// component root (the other coupler ranks idle by design).
+class CouplerBody {
+ public:
+  static constexpr bool kStateOnEveryRank = false;
+
+  CouplerBody(mph::Mph& h, const ClimateConfig& cfg,
+              const FluxCoupler::Peers& peers)
+      : coupler_(cfg, h, peers) {}
+
+  [[nodiscard]] static const char* component() { return "coupler"; }
+
+  void advance(ComponentResult& /*result*/) { coupler_.couple_once(); }
+
+  void save(recover::Checkpoint& ckpt,
+            const ComponentResult& /*result*/) const {
+    const CouplerDiagnostics& diag = coupler_.diagnostics();
+    ckpt.put_doubles("mean_t_atm", diag.mean_t_atm);
+    ckpt.put_doubles("mean_sst", diag.mean_sst);
+    ckpt.put_doubles("mean_evap", diag.mean_evap);
+    ckpt.put_doubles("mean_icefrac", diag.mean_icefrac);
+  }
+
+  void restore(const recover::Checkpoint& ckpt, ComponentResult& /*result*/) {
+    coupler_.restore_diagnostics(CouplerDiagnostics{
+        ckpt.doubles("mean_t_atm"), ckpt.doubles("mean_sst"),
+        ckpt.doubles("mean_evap"), ckpt.doubles("mean_icefrac")});
+  }
+
+  void finish(ComponentResult& result) const {
+    result.coupler = coupler_.diagnostics();
+    result.mean_series = result.coupler.mean_sst;
+  }
+
+ private:
+  FluxCoupler coupler_;
+};
+
+/// Run intervals [start, cfg.intervals) of one role: restore from the
+/// agreed step, then per interval the fault checkpoint, the steering
+/// work, the role's body, the checkpoint save and the steering boundary.
+template <class Body>
+ComponentResult run_intervals(mph::Mph& h, const ClimateConfig& cfg,
+                              const recover::CheckpointStore* store,
+                              const SteeringSpec* steering, int start,
+                              Body& body) {
   Steering steer(h, steering);
-  ComponentResult scratch{"coupler", {}, {}};
-  if (recovery != nullptr && start > 0 && h.local_proc_id() == 0) {
-    // The coupler's whole state is its diagnostics, and it lives on the
-    // component root only (non-root coupler ranks idle by design).
-    const std::uint64_t step = static_cast<std::uint64_t>(start - 1);
+  ComponentResult result;
+  result.component = body.component();
+  const bool root = h.local_proc_id() == 0;
+  if (store != nullptr && start > 0 && (Body::kStateOnEveryRank || root)) {
+    const auto step = static_cast<std::uint64_t>(start - 1);
     const std::optional<recover::Checkpoint> ckpt =
-        recovery->store->load_step(h.comp_name(), step);
-    if (!ckpt.has_value()) {
+        store->load_step(h.comp_name(), step);
+    if (!ckpt.has_value()) {  // a pruned or lost store
       throw SetupError("recovery: component '" + h.comp_name() +
                        "' has no checkpoint for the agreed restart step " +
-                       std::to_string(step) + " in " + recovery->store->dir());
+                       std::to_string(step) + " in " + store->dir());
     }
-    CouplerDiagnostics diag;
-    diag.mean_t_atm = ckpt->doubles("mean_t_atm");
-    diag.mean_sst = ckpt->doubles("mean_sst");
-    diag.mean_evap = ckpt->doubles("mean_evap");
-    diag.mean_icefrac = ckpt->doubles("mean_icefrac");
-    coupler.restore_diagnostics(std::move(diag));
+    body.restore(*ckpt, result);
   }
   for (int interval = start; interval < cfg.intervals; ++interval) {
-    if (recovery != nullptr) {
+    if (store != nullptr) {
       h.world().fault_checkpoint(static_cast<std::uint64_t>(interval));
     }
     steer.interval_work();
-    coupler.couple_once();
-    if (recovery != nullptr && h.local_proc_id() == 0) {
-      const CouplerDiagnostics& diag = coupler.diagnostics();
+    body.advance(result);
+    if (store != nullptr) {
       recover::Checkpoint ckpt(static_cast<std::uint64_t>(interval));
-      ckpt.put_doubles("mean_t_atm", diag.mean_t_atm);
-      ckpt.put_doubles("mean_sst", diag.mean_sst);
-      ckpt.put_doubles("mean_evap", diag.mean_evap);
-      ckpt.put_doubles("mean_icefrac", diag.mean_icefrac);
-      recovery->store->save(h.comp_name(), ckpt);
+      body.save(ckpt, result);
+      if (root) store->save(h.comp_name(), ckpt);
     }
-    steer.boundary(interval, scratch);
+    steer.boundary(interval, result);
   }
-  steer.finish(scratch);
-  ComponentResult result{"coupler", {}, coupler.diagnostics()};
-  result.mean_series = result.coupler.mean_sst;
-  result.rebalanced_intervals = std::move(scratch.rebalanced_intervals);
-  result.steer_local_units = scratch.steer_local_units;
+  steer.finish(result);
+  body.finish(result);
   return result;
 }
 
@@ -380,11 +292,10 @@ ComponentResult run_coupled_component(mph::Mph& handle,
                                       const ClimateConfig& cfg,
                                       const FluxCoupler::Peers& peers,
                                       const std::string& coupler_name,
-                                      const RecoverySpec* recovery,
+                                      const recover::CheckpointStore* store,
                                       const SteeringSpec* steering) {
-  if (recovery != nullptr && recovery->store == nullptr) recovery = nullptr;
   int start = 0;
-  if (recovery != nullptr) {
+  if (store != nullptr) {
     // The coupled system checkpoints in lockstep but components can die one
     // interval apart (a kill between a component's save and its peers').
     // Agree on the newest step EVERY component can restore: the minimum of
@@ -392,7 +303,7 @@ ComponentResult run_coupled_component(mph::Mph& handle,
     // laggard's neighbour still holds the agreed one).  Collective over the
     // whole application, like the exchange schedule itself.
     const std::optional<std::uint64_t> latest =
-        recovery->store->latest_step(handle.comp_name());
+        store->latest_step(handle.comp_name());
     std::uint64_t candidate =
         latest.has_value() ? *latest + 1 : std::uint64_t{0};
     candidate = minimpi::allreduce_value(
@@ -400,22 +311,37 @@ ComponentResult run_coupled_component(mph::Mph& handle,
         [](std::uint64_t a, std::uint64_t b) { return a < b ? a : b; });
     start = static_cast<int>(candidate);
   }
+  const auto run = [&](auto&& body) {
+    return run_intervals(handle, cfg, store, steering, start, body);
+  };
   const std::string& role = handle.comp_name();
   if (role == peers.atmosphere) {
-    return run_atmosphere(handle, cfg, coupler_name, recovery, steering, start);
+    // The coupler sees the time mean over the interval, not a sample.
+    return run(ModelBody<Atmosphere>(
+        handle, cfg, coupler_name,
+        {"atmosphere",
+         [](Atmosphere& m) { return m.export_temperature_mean(); },
+         tags::t_atm_to_cpl, &Atmosphere::import_sst, tags::sst_to_atm}));
   }
   if (role == peers.ocean) {
-    return run_ocean(handle, cfg, coupler_name, recovery, steering, start);
+    return run(ModelBody<Ocean>(
+        handle, cfg, coupler_name,
+        {"ocean", [](Ocean& m) { return m.export_sst_mean(); },
+         tags::sst_to_cpl, &Ocean::import_flux, tags::flux_to_ocn}));
   }
   if (role == peers.land) {
-    return run_land(handle, cfg, coupler_name, recovery, steering, start);
+    return run(ModelBody<Land>(
+        handle, cfg, coupler_name,
+        {"land", [](Land& m) { return m.export_evaporation(); },
+         tags::evap_to_cpl, &Land::import_temperature, tags::t_atm_to_land}));
   }
   if (role == peers.ice) {
-    return run_ice(handle, cfg, coupler_name, recovery, steering, start);
+    return run(ModelBody<SeaIce>(
+        handle, cfg, coupler_name,
+        {"ice", [](SeaIce& m) { return m.export_fraction(); },
+         tags::ice_to_cpl, &SeaIce::import_sst, tags::sst_to_ice}));
   }
-  if (role == coupler_name) {
-    return run_coupler(handle, cfg, peers, recovery, steering, start);
-  }
+  if (role == coupler_name) return run(CouplerBody(handle, cfg, peers));
   throw MphError("run_coupled_component: component '" + role +
                  "' has no role in the coupled system");
 }
@@ -469,8 +395,7 @@ CouplerDiagnostics run_serial_reference(const minimpi::Comm& world,
 EnsembleResult run_ensemble_instance(mph::Mph& handle,
                                      const ClimateConfig& cfg,
                                      const std::string& stats_name,
-                                     const RecoverySpec* recovery) {
-  if (recovery != nullptr && recovery->store == nullptr) recovery = nullptr;
+                                     const recover::CheckpointStore* store) {
   ClimateConfig my_cfg = cfg;
   double diff_scale = 1.0;
   handle.get_argument("diff", diff_scale);
@@ -480,12 +405,12 @@ EnsembleResult run_ensemble_instance(mph::Mph& handle,
 
   EnsembleResult result;
   int start = 0;
-  if (recovery != nullptr) {
+  if (store != nullptr) {
     // Resume from my newest checkpoint (communication-free: every member
     // rank reads the file and keeps its own rows).  No checkpoint means a
     // cold start — identical to the legacy path from interval 0.
     const std::optional<recover::Checkpoint> ckpt =
-        recovery->store->load_latest(handle.comp_name());
+        store->load_latest(handle.comp_name());
     if (ckpt.has_value()) {
       model.restore_state(ckpt->doubles("ocean.sst"), {}, false);
       result.my_means = ckpt->doubles("my_means");
@@ -499,7 +424,7 @@ EnsembleResult run_ensemble_instance(mph::Mph& handle,
     // 2i+1 = after the sample went up, before the nudge came back) so
     // tests can kill on either side of the protocol's send.
     handle.world().fault_checkpoint(
-        recovery != nullptr ? static_cast<std::uint64_t>(2 * interval)
+        store != nullptr ? static_cast<std::uint64_t>(2 * interval)
                             : static_cast<std::uint64_t>(interval));
     for (int s = 0; s < cfg.steps_per_interval; ++s) model.step();
     const double mean = model.global_mean();
@@ -508,7 +433,7 @@ EnsembleResult run_ensemble_instance(mph::Mph& handle,
     // Root reports the instantaneous mean and receives the control nudge;
     // the nudge is broadcast inside the instance and applied everywhere.
     double nudge = 0;
-    if (recovery != nullptr) {
+    if (store != nullptr) {
       if (handle.local_proc_id() == 0) {
         // Interval-tagged sample: after a restore the statistics component
         // may legitimately see interval I twice (once from the dead
@@ -550,7 +475,7 @@ EnsembleResult run_ensemble_instance(mph::Mph& handle,
     }
     minimpi::bcast_value(handle.comp_comm(), nudge, 0);
     model.nudge(nudge);
-    if (recovery != nullptr) {
+    if (store != nullptr) {
       // Checkpoint AFTER the nudge is applied: the snapshot is the state
       // the next interval starts from, so a replacement restored from it
       // never re-requests this interval's nudge.
@@ -559,7 +484,7 @@ EnsembleResult run_ensemble_instance(mph::Mph& handle,
         recover::Checkpoint ckpt(static_cast<std::uint64_t>(interval));
         ckpt.put_doubles("ocean.sst", full);
         ckpt.put_doubles("my_means", result.my_means);
-        recovery->store->save(handle.comp_name(), ckpt);
+        store->save(handle.comp_name(), ckpt);
       }
     }
   }
@@ -624,8 +549,7 @@ EnsembleResult run_ensemble_statistics(mph::Mph& handle,
                                        const ClimateConfig& cfg,
                                        const std::string& prefix,
                                        double gain,
-                                       const RecoverySpec* recovery) {
-  if (recovery != nullptr && recovery->store == nullptr) recovery = nullptr;
+                                       const recover::CheckpointStore* store) {
   // Discover the instances from the directory: every component whose name
   // starts with the prefix, in component-id order.
   std::vector<std::string> instances;
@@ -654,12 +578,12 @@ EnsembleResult run_ensemble_statistics(mph::Mph& handle,
       instances.size());
   std::set<std::size_t> healed;
   const std::chrono::milliseconds budget =
-      recovery != nullptr ? dead_member_budget(handle.options().liveness)
+      store != nullptr ? dead_member_budget(handle.options().liveness)
                           : std::chrono::milliseconds{0};
 
-  if (recovery != nullptr && handle.local_proc_id() == 0) {
+  if (store != nullptr && handle.local_proc_id() == 0) {
     const std::optional<recover::Checkpoint> ckpt =
-        recovery->store->load_latest(handle.comp_name());
+        store->load_latest(handle.comp_name());
     if (ckpt.has_value()) {
       result.snapshots = unflatten_snapshots(ckpt->doubles("snapshots"));
       const std::vector<double> nudges = ckpt->doubles("nudges");
@@ -785,7 +709,7 @@ EnsembleResult run_ensemble_statistics(mph::Mph& handle,
     for (std::size_t k = 0; k < instances.size(); ++k) {
       if (!alive[k]) continue;
       double sample = 0;
-      const bool got = recovery != nullptr
+      const bool got = store != nullptr
                            ? member_sample_recovering(k, interval, sample)
                            : member_sample(k, sample);
       if (got) {
@@ -801,7 +725,7 @@ EnsembleResult run_ensemble_statistics(mph::Mph& handle,
     const std::vector<double> nudges =
         stats.control_nudges(samples, snap.mean, gain);
     result.snapshots.push_back(snap);
-    if (recovery != nullptr) {
+    if (store != nullptr) {
       for (std::size_t i = 0; i < live.size(); ++i) {
         cached_nudge[live[i]] = nudges[i];
       }
@@ -816,7 +740,7 @@ EnsembleResult run_ensemble_statistics(mph::Mph& handle,
       ckpt.put_doubles("snapshots", flatten_snapshots(result.snapshots));
       ckpt.put_doubles("nudges", cached_nudge);
       ckpt.put_u64s("alive", alive_flags);
-      recovery->store->save(handle.comp_name(), ckpt);
+      store->save(handle.comp_name(), ckpt);
       for (std::size_t i = 0; i < live.size(); ++i) {
         // Unconditional send: a nudge to a member that died again simply
         // sits in its mailbox until the heal drains it, and the replay

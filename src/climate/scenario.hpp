@@ -3,6 +3,14 @@
 // identically under SCME, MCME, or MCSE wiring (paper §2: the integration
 // mode is a deployment decision, not a model-code decision) — integration
 // tests, examples, and the E6/E9 benchmarks all call these.
+//
+// All five roles of the coupled system (atmosphere, ocean, land, ice and
+// the coupler) run one coupling-interval loop; a role supplies only its
+// interval body and its checkpointed state.  Recovery and steering are
+// opt-in through two trailing pointers, each a single null test when off:
+//   * `store` (a recover::CheckpointStore) checkpoints every interval and
+//     restores from the step all components agree on (DESIGN.md §13);
+//   * `steering` (a SteeringSpec) adds live rebalancing (DESIGN.md §17).
 #pragma once
 
 #include <cstdint>
@@ -18,21 +26,9 @@
 
 namespace mph::climate {
 
-/// Opt-in recovery wiring for the scenario drivers.  When null (the
-/// default) the drivers run exactly the legacy protocol — the off path is
-/// a single pointer test.  When set, components checkpoint their state to
-/// `store` each coupling interval and restore from the newest checkpoint
-/// on entry, so a respawned ensemble member (or a whole restarted job)
-/// resumes instead of recomputing.  DESIGN.md §13 describes the protocol.
-struct RecoverySpec {
-  /// Shared store; entries are keyed by component name.  Must outlive the
-  /// driver call.
-  recover::CheckpointStore* store = nullptr;
-};
-
 /// Opt-in live steering for the coupled driver (the mph_watch closed
-/// loop, ROADMAP item 3 follow-on).  When null the drivers run the legacy
-/// protocol — one pointer test, zero extra traffic.  When set, every rank
+/// loop).  When null the interval loop runs the plain protocol — one
+/// pointer test, zero extra traffic.  When set, every rank
 /// of the coupled application carries a slice of a shared auxiliary work
 /// field (a Decomp over the WHOLE world, cutting across components) and
 /// executes it each interval; at each interval boundary the world root
@@ -72,13 +68,17 @@ struct ComponentResult {
 
 /// Run one component of the coupled climate system to completion.
 /// Dispatches on `handle.comp_name()`; the five roles are the peer names in
-/// `peers` plus `coupler_name`.  Collective over the component (and, at
-/// exchange points, over the coupled application).
+/// `peers` plus `coupler_name`, and any other name throws MphError.
+/// Collective over the component (and, at exchange points, over the coupled
+/// application).  With a `store`, every component checkpoints each interval
+/// and a relaunched job resumes from the newest step every component can
+/// restore; a store that lacks that step throws SetupError.  `store` must
+/// outlive the call; entries are keyed by component name.
 ComponentResult run_coupled_component(
     mph::Mph& handle, const ClimateConfig& cfg,
     const FluxCoupler::Peers& peers = FluxCoupler::Peers(),
     const std::string& coupler_name = "coupler",
-    const RecoverySpec* recovery = nullptr,
+    const recover::CheckpointStore* store = nullptr,
     const SteeringSpec* steering = nullptr);
 
 /// Result of an ensemble participant.
@@ -99,11 +99,12 @@ struct EnsembleResult {
 /// MPH_multi_instance).  Reads the instance arguments:
 ///   diff=<factor>  — ocean diffusivity scaling (default 1)
 /// Sends its instantaneous global-mean SST to `stats_name` each interval
-/// and applies the control nudge that comes back.
-EnsembleResult run_ensemble_instance(mph::Mph& handle,
-                                     const ClimateConfig& cfg,
-                                     const std::string& stats_name,
-                                     const RecoverySpec* recovery = nullptr);
+/// and applies the control nudge that comes back.  With a `store` the
+/// member checkpoints after each nudge and resumes from its newest
+/// checkpoint, and the sample travels tagged with its interval.
+EnsembleResult run_ensemble_instance(
+    mph::Mph& handle, const ClimateConfig& cfg, const std::string& stats_name,
+    const recover::CheckpointStore* store = nullptr);
 
 /// Serial reference: the entire coupled system composed by direct function
 /// calls in ONE process (no MPH, no message passing) with the identical
@@ -118,11 +119,11 @@ EnsembleResult run_ensemble_instance(mph::Mph& handle,
 /// Run the statistics component: aggregates the instances whose names start
 /// with `prefix`, computes mean/variance/min/max/median per interval, and
 /// steers each instance toward the ensemble mean with gain `gain`
-/// (0 disables dynamic control).
-EnsembleResult run_ensemble_statistics(mph::Mph& handle,
-                                       const ClimateConfig& cfg,
-                                       const std::string& prefix,
-                                       double gain,
-                                       const RecoverySpec* recovery = nullptr);
+/// (0 disables dynamic control).  With a `store` it checkpoints each
+/// interval, grants dead members a respawn window and replays the nudges a
+/// restored member missed.
+EnsembleResult run_ensemble_statistics(
+    mph::Mph& handle, const ClimateConfig& cfg, const std::string& prefix,
+    double gain, const recover::CheckpointStore* store = nullptr);
 
 }  // namespace mph::climate

@@ -3,10 +3,10 @@
 namespace mph::climate {
 
 SeaIce::SeaIce(const ClimateConfig& cfg, const minimpi::Comm& comm)
-    : cfg_(cfg), comm_(comm), grid_(cfg.ocn_nlon, cfg.ocn_nlat),
-      thickness_(grid_, comm_), sst_(grid_, comm_) {
+    : ComponentModel(cfg, comm, cfg.ocn_nlon, cfg.ocn_nlat, "thickness",
+                     "SST import") {
   // Start with thin ice near the poles.
-  thickness_.fill([&](int, int j) {
+  state_.fill([&](int, int j) {
     const double lat = std::abs(grid_.latitude(j));
     return lat > 1.2 ? 0.5 : 0.0;
   });
@@ -14,29 +14,24 @@ SeaIce::SeaIce(const ClimateConfig& cfg, const minimpi::Comm& comm)
 
 void SeaIce::step() {
   // Zero-layer thermodynamics: grow below freezing, melt above.
-  const int rows = thickness_.local_rows();
+  const int rows = state_.local_rows();
   for (int r = 0; r < rows; ++r) {
-    for (int i = 0; i < thickness_.nlon(); ++i) {
-      const double sst = have_sst_ ? sst_.at(r, i) : cfg_.freezing_point;
+    for (int i = 0; i < state_.nlon(); ++i) {
+      const double sst = have_import_ ? import_.at(r, i) : cfg_.freezing_point;
       const double growth =
           cfg_.ice_growth * std::max(0.0, cfg_.freezing_point - sst);
       const double melt =
           cfg_.ice_melt * std::max(0.0, sst - cfg_.freezing_point);
-      thickness_.at(r, i) =
-          std::max(0.0, thickness_.at(r, i) + cfg_.dt * (growth - melt));
+      state_.at(r, i) =
+          std::max(0.0, state_.at(r, i) + cfg_.dt * (growth - melt));
     }
   }
-}
-
-void SeaIce::import_sst(std::span<const double> sst_full_on_root) {
-  sst_.scatter(comm_, sst_full_on_root);
-  have_sst_ = true;
 }
 
 std::vector<double> SeaIce::export_fraction() const {
   // Fraction = h / (h + h0): thin ice covers little of the cell.
   constexpr double kH0 = 0.5;
-  RowBlockField2D frac = thickness_;
+  RowBlockField2D frac = state_;
   const int rows = frac.local_rows();
   for (int r = 0; r < rows; ++r) {
     for (int i = 0; i < frac.nlon(); ++i) {

@@ -136,26 +136,26 @@ std::vector<double> weights_from_critical_path(
   return weights;
 }
 
-std::optional<Decomp> Rebalancer::propose(const Decomp& current,
-                                          std::span<const double> step_seconds) {
-  const std::vector<double> observed =
-      throughput_weights(current, step_seconds);
+void Rebalancer::smooth(const std::vector<double>& observed) {
   if (weights_.size() != observed.size()) {
     weights_ = observed;  // first round: adopt the observation outright
-  } else {
-    const double a = std::clamp(policy_.smoothing, 0.0, 1.0);
-    for (std::size_t i = 0; i < weights_.size(); ++i) {
-      weights_[i] = a * observed[i] + (1.0 - a) * weights_[i];
-    }
+    return;
   }
+  const double a = std::clamp(policy_.smoothing, 0.0, 1.0);
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    weights_[i] = a * observed[i] + (1.0 - a) * weights_[i];
+  }
+}
 
+std::optional<Decomp> Rebalancer::propose_if_imbalanced(
+    const Decomp& current, std::span<const double> times) {
   double max_t = 0.0;
   double sum_t = 0.0;
-  for (const double t : step_seconds) {
+  for (const double t : times) {
     max_t = std::max(max_t, t);
     sum_t += t;
   }
-  const double mean_t = sum_t / static_cast<double>(step_seconds.size());
+  const double mean_t = sum_t / static_cast<double>(times.size());
   last_imbalance_ = mean_t > 0.0 ? max_t / mean_t : 0.0;
   if (last_imbalance_ < policy_.trigger_imbalance) return std::nullopt;
 
@@ -163,6 +163,12 @@ std::optional<Decomp> Rebalancer::propose(const Decomp& current,
                                      std::span<const double>(weights_));
   if (proposal == current) return std::nullopt;
   return proposal;
+}
+
+std::optional<Decomp> Rebalancer::propose(const Decomp& current,
+                                          std::span<const double> step_seconds) {
+  smooth(throughput_weights(current, step_seconds));
+  return propose_if_imbalanced(current, step_seconds);
 }
 
 std::optional<Decomp> Rebalancer::propose_from_weights(
@@ -175,34 +181,17 @@ std::optional<Decomp> Rebalancer::propose_from_weights(
   std::vector<double> observed(observed_weights.begin(),
                                observed_weights.end());
   fill_missing_with_mean(observed);
-  if (weights_.size() != observed.size()) {
-    weights_ = observed;  // first round: adopt the observation outright
-  } else {
-    const double a = std::clamp(policy_.smoothing, 0.0, 1.0);
-    for (std::size_t i = 0; i < weights_.size(); ++i) {
-      weights_[i] = a * observed[i] + (1.0 - a) * weights_[i];
-    }
-  }
+  smooth(observed);
 
   // Predicted per-rank time under the current layout: work over smoothed
   // throughput — the same quantity propose() measures directly.
-  double max_t = 0.0;
-  double sum_t = 0.0;
+  std::vector<double> predicted(static_cast<std::size_t>(current.nranks()));
   for (int r = 0; r < current.nranks(); ++r) {
     const double w = weights_[static_cast<std::size_t>(r)];
-    const double t =
+    predicted[static_cast<std::size_t>(r)] =
         w > 0.0 ? static_cast<double>(current.local_size(r)) / w : 0.0;
-    max_t = std::max(max_t, t);
-    sum_t += t;
   }
-  const double mean_t = sum_t / static_cast<double>(current.nranks());
-  last_imbalance_ = mean_t > 0.0 ? max_t / mean_t : 0.0;
-  if (last_imbalance_ < policy_.trigger_imbalance) return std::nullopt;
-
-  Decomp proposal = Decomp::weighted(current.global_size(),
-                                     std::span<const double>(weights_));
-  if (proposal == current) return std::nullopt;
-  return proposal;
+  return propose_if_imbalanced(current, predicted);
 }
 
 std::vector<double> repartition(const minimpi::Comm& comm, const Decomp& from,

@@ -106,6 +106,15 @@ class Rebalancer {
   }
 
  private:
+  /// Fold one observation into the EWMA weights (the first round adopts
+  /// it outright).
+  void smooth(const std::vector<double>& observed);
+  /// The shared trigger: record max/mean of the per-rank `times` as the
+  /// imbalance and, once it crosses the policy trigger, propose the
+  /// decomposition weighted by the smoothed weights.
+  [[nodiscard]] std::optional<Decomp> propose_if_imbalanced(
+      const Decomp& current, std::span<const double> times);
+
   RebalancePolicy policy_;
   std::vector<double> weights_;
   double last_imbalance_ = 0.0;

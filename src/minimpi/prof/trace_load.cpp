@@ -66,7 +66,7 @@ LoadedTrace load_chrome_trace(std::string_view json_text) {
   const JsonValue* events = doc.find("traceEvents");
   if (events == nullptr) {
     throw Error(Errc::invalid_argument,
-                "mph_prof: not a trace export — the document has no "
+                "not a trace export — the document has no "
                 "'traceEvents' array");
   }
 

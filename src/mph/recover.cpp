@@ -35,7 +35,7 @@ struct Reader {
   std::string_view what;
 
   void need(std::size_t n) const {
-    if (pos + n > data.size()) {
+    if (n > data.size() - pos) {  // pos + n could wrap for a crafted n
       throw SetupError("checkpoint '" + std::string(what) +
                        "' is truncated (need " + std::to_string(n) +
                        " bytes at offset " + std::to_string(pos) + ", have " +

@@ -4,11 +4,11 @@
 #include <cstddef>
 #include <cstdlib>
 #include <map>
-#include <set>
 #include <utility>
 
+#include "src/minimpi/error.hpp"
+#include "src/minimpi/prof/trace_load.hpp"
 #include "src/proto/expand.hpp"
-#include "src/util/json.hpp"
 
 namespace mph::proto {
 
@@ -17,30 +17,21 @@ namespace {
 using detail::ExpOp;
 using detail::Layout;
 using detail::Slot;
-using util::JsonValue;
 
-/// [start, end] of a span event, in trace microseconds.  A hair of slack
-/// absorbs the ns→us rounding of the export.
+/// [start, end] of a span event, in trace nanoseconds.  One nanosecond
+/// of slack absorbs the export's rounding to whole nanoseconds.
 struct Window {
-  double start = 0;
-  double end = 0;
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
 
-  [[nodiscard]] bool covers(double t) const noexcept {
-    return t >= start - 0.0015 && t <= end + 0.0015;
+  [[nodiscard]] bool covers(std::uint64_t t) const noexcept {
+    return t + 1 >= start && t <= end + 1;
   }
 };
 
-bool inside_any(const std::vector<Window>& windows, double t) {
+bool inside_any(const std::vector<Window>& windows, std::uint64_t t) {
   return std::any_of(windows.begin(), windows.end(),
                      [t](const Window& w) { return w.covers(t); });
-}
-
-int arg_int(const JsonValue& event, const char* key, int fallback) {
-  const JsonValue* args = event.find("args");
-  if (args == nullptr) return fallback;
-  const JsonValue* value = args->find(key);
-  if (value == nullptr) return fallback;
-  return static_cast<int>(value->as_int());
 }
 
 }  // namespace
@@ -67,118 +58,70 @@ const ObservedRank* ObservedTrace::by_world(int rank) const noexcept {
 }
 
 ObservedTrace read_trace_ops(std::string_view json_text) {
-  const JsonValue doc = JsonValue::parse(json_text);
-  const JsonValue* events = doc.find("traceEvents");
-  if (events == nullptr) {
+  minimpi::prof::LoadedTrace loaded;
+  try {
+    loaded = minimpi::prof::load_chrome_trace(json_text);
+  } catch (const minimpi::Error&) {
     throw MphError(
         "proto: not a trace export — the document has no 'traceEvents'");
   }
-  // Pass 1: track names, and the per-rank exclusion windows.  Phase spans
-  // (handshake, comm_setup, ...) hide everything inside them; collective
-  // spans hide the p2p traffic that implements the collective.
-  std::map<int, std::string> tracks;
-  std::map<int, std::vector<Window>> phase_windows;
-  std::map<int, std::vector<Window>> collective_windows;
-  for (const JsonValue& event : events->items()) {
-    const std::string& ph = event.at("ph").as_string();
-    const int tid = static_cast<int>(event.at("tid").as_int());
-    if (ph == "M") {
-      if (event.at("name").as_string() == "thread_name") {
-        tracks[tid] = event.at("args").at("name").as_string();
+  ObservedTrace out;
+  for (const minimpi::RankTrace& r : loaded.report.ranks) {
+    // The per-rank exclusion windows.  Phase spans (handshake, comm_setup,
+    // ...) hide everything inside them; collective spans hide the p2p
+    // traffic that implements the collective.
+    std::vector<Window> phase_windows;
+    std::vector<Window> collective_windows;
+    for (const minimpi::TraceEvent& e : r.events) {
+      if (!e.span) continue;
+      if (e.op == minimpi::TraceOp::phase &&
+          std::string_view(e.name) != "rank_main") {
+        // rank_main spans the whole user function (the profiler's anchor),
+        // not a setup phase — it must not hide protocol traffic.
+        phase_windows.push_back(Window{e.t_start_ns, e.t_end_ns});
+      } else if (e.op == minimpi::TraceOp::collective) {
+        collective_windows.push_back(Window{e.t_start_ns, e.t_end_ns});
       }
-      continue;
     }
-    if (ph != "X") continue;
-    const std::string& cat = event.at("cat").as_string();
-    if (cat != "phase" && cat != "collective") continue;
-    if (cat == "phase" && event.at("name").as_string() == "rank_main") {
-      continue;  // spans the whole user function (the profiler's anchor),
-                 // not a setup phase — it must not hide protocol traffic
+    ObservedRank rank;
+    rank.world_rank = r.world_rank;
+    rank.component = minimpi::TraceReport::component_of(r.track);
+    if (const std::size_t colon = r.track.rfind(':');
+        colon != std::string::npos) {
+      rank.local = std::atoi(r.track.c_str() + colon + 1);
     }
-    const double start = event.at("ts").as_number();
-    const JsonValue* dur = event.find("dur");
-    const double end = start + (dur != nullptr ? dur->as_number() : 0.0);
-    (cat == "phase" ? phase_windows : collective_windows)[tid].push_back(
-        Window{start, end});
-  }
-  // Pass 2: protocol ops, in document order (the export writes each rank's
-  // ring in execution order).
-  std::map<int, ObservedRank> ranks;
-  for (const JsonValue& event : events->items()) {
-    const std::string& ph = event.at("ph").as_string();
-    if (ph != "X" && ph != "i") continue;
-    const std::string& cat = event.at("cat").as_string();
-    if (cat != "p2p" && cat != "collective") continue;
-    const std::string& name = event.at("name").as_string();
-    if (name == "post_recv" || name == "recv_match" ||
-        name == "control_send") {
-      continue;
-    }
-    const int tid = static_cast<int>(event.at("tid").as_int());
-    const double ts = event.at("ts").as_number();
-    const auto phases = phase_windows.find(tid);
-    if (phases != phase_windows.end() && inside_any(phases->second, ts)) {
-      continue;  // handshake-internal traffic, not protocol traffic
-    }
-    if (cat == "p2p") {
-      const auto colls = collective_windows.find(tid);
-      if (colls != collective_windows.end() &&
-          inside_any(colls->second, ts)) {
+    // Protocol ops, in execution order (the export writes each rank's ring
+    // in order and the loader keeps it).
+    for (const minimpi::TraceEvent& e : r.events) {
+      const std::string_view name(e.name);
+      const bool p2p =
+          std::string_view(minimpi::trace_op_category(e.op)) == "p2p";
+      ObservedOp op;
+      if (e.op == minimpi::TraceOp::collective) {
+        op.kind = ObservedOp::Kind::collective;
+        op.coll = name;
+      } else if (p2p && name == "send") {
+        op.kind = ObservedOp::Kind::send;
+      } else if (p2p && (name == "recv" || name == "wait")) {
+        op.kind = ObservedOp::Kind::recv;
+      } else {
+        continue;  // bookkeeping (post_recv, recv_match, control_send,
+                   // blocked), phases and future event kinds
+      }
+      if (inside_any(phase_windows, e.t_start_ns)) {
+        continue;  // handshake-internal traffic, not protocol traffic
+      }
+      if (op.kind != ObservedOp::Kind::collective &&
+          inside_any(collective_windows, e.t_start_ns)) {
         continue;  // a collective implementing itself with sends/receives
       }
-    }
-    ObservedOp op;
-    if (cat == "collective") {
-      op.kind = ObservedOp::Kind::collective;
-      op.coll = name;
-    } else if (name == "send") {
-      op.kind = ObservedOp::Kind::send;
-    } else if (name == "recv" || name == "wait") {
-      op.kind = ObservedOp::Kind::recv;
-    } else {
-      continue;  // blocked markers and future event kinds
-    }
-    op.peer = arg_int(event, "peer", -1);
-    op.tag = arg_int(event, "tag", -1);
-    op.bytes = static_cast<std::uint64_t>(arg_int(event, "bytes", 0));
-    ObservedRank& rank = ranks[tid];
-    rank.world_rank = tid;
-    rank.ops.push_back(std::move(op));
-  }
-  ObservedTrace out;
-  for (auto& [tid, rank] : ranks) {
-    const auto track = tracks.find(tid);
-    if (track != tracks.end()) {
-      const std::string& label = track->second;
-      const std::size_t colon = label.rfind(':');
-      if (colon != std::string::npos) {
-        rank.component = label.substr(0, colon);
-        rank.local = std::atoi(label.c_str() + colon + 1);
-      } else {
-        rank.component = label;
-      }
+      op.peer = e.peer;
+      op.tag = e.tag;
+      op.bytes = e.bytes;
+      rank.ops.push_back(std::move(op));
     }
     out.ranks.push_back(std::move(rank));
   }
-  // Ranks that only ran the handshake still deserve a row: metadata-only
-  // tids with no surviving ops are added so rank-count checks see them.
-  for (const auto& [tid, label] : tracks) {
-    if (out.by_world(tid) != nullptr) continue;
-    ObservedRank rank;
-    rank.world_rank = tid;
-    const std::size_t colon = label.rfind(':');
-    if (colon != std::string::npos) {
-      rank.component = label.substr(0, colon);
-      rank.local = std::atoi(label.c_str() + colon + 1);
-    } else {
-      rank.component = label;
-    }
-    out.ranks.push_back(std::move(rank));
-  }
-  std::sort(out.ranks.begin(), out.ranks.end(),
-            [](const ObservedRank& a, const ObservedRank& b) {
-              return a.world_rank < b.world_rank;
-            });
   return out;
 }
 

@@ -5,9 +5,12 @@
 // weights_from_critical_path toward the fast one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/coupler/decomp.hpp"
@@ -225,6 +228,36 @@ TEST(ProfJobs, ExportLoadRoundTripOnARealJob) {
   EXPECT_EQ(reloaded.job_end_ns, direct.job_end_ns);
   EXPECT_EQ(reloaded.path.size(), direct.path.size());
   EXPECT_EQ(reloaded.unresolved_flows, direct.unresolved_flows);
+
+  // The rollup `mph_inspect trace` renders from the loaded report equals
+  // the one the writer computed from the live report.
+  const auto traffic = [](const TraceReport& r) {
+    std::vector<std::tuple<std::string, std::string, std::uint64_t,
+                           std::uint64_t>>
+        rows;
+    for (const TraceReport::Traffic& t : r.component_traffic()) {
+      rows.emplace_back(t.src, t.dest, t.messages, t.bytes);
+    }
+    return rows;
+  };
+  const auto blocked = [](const TraceReport& r) {
+    std::vector<std::tuple<minimpi::rank_t, std::string, std::uint64_t,
+                           std::uint64_t, std::uint64_t>>
+        rows;
+    for (const TraceReport::RankBlocked& b : r.blocked_breakdown()) {
+      rows.emplace_back(b.world_rank, b.track, b.recv_wait_ns,
+                        b.collective_wait_ns, b.handshake_ns);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  EXPECT_FALSE(traffic(*report.trace).empty());
+  EXPECT_EQ(traffic(loaded.report), traffic(*report.trace));
+  EXPECT_EQ(blocked(loaded.report), blocked(*report.trace));
+  EXPECT_EQ(loaded.report.comm.wildcard_recvs,
+            report.trace->comm.wildcard_recvs);
+  EXPECT_EQ(loaded.report.comm.messages_by_context,
+            report.trace->comm.messages_by_context);
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ using mph::Mph;
 using mph::RegistrySource;
 using mph::climate::EnsembleResult;
 using mph::climate::EnsembleSnapshot;
-using mph::climate::RecoverySpec;
 using mph::recover::CheckpointStore;
 
 const std::string kRegistry = R"(BEGIN
@@ -126,8 +125,7 @@ JobReport run_soak(const std::string& store_dir, minimpi::rank_t victim,
                     ? Mph::multi_instance(world, source, "Ocean", handshake)
                     : Mph::rejoin_instance(world, "Ocean", handshake);
         CheckpointStore store(store_copy);
-        const RecoverySpec spec{&store};
-        (void)mph::climate::run_ensemble_instance(h, cfg, "statistics", &spec);
+        (void)mph::climate::run_ensemble_instance(h, cfg, "statistics", &store);
       },
       {}});
   specs.push_back(minimpi::ExecSpec{
@@ -137,9 +135,8 @@ JobReport run_soak(const std::string& store_dir, minimpi::rank_t victim,
         Mph h =
             Mph::components_setup(world, source, {"statistics"}, handshake);
         CheckpointStore store(store_copy);
-        const RecoverySpec spec{&store};
         const EnsembleResult r = mph::climate::run_ensemble_statistics(
-            h, cfg, "Ocean", 0.5, &spec);
+            h, cfg, "Ocean", 0.5, &store);
         const std::lock_guard<std::mutex> lock(mutex);
         out = r.snapshots;
       },

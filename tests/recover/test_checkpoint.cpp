@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -182,6 +183,23 @@ TEST(CheckpointStore, TruncatedFileRejectedWithSetupError) {
   // An empty file is equally rejected, not treated as "no checkpoint".
   std::filesystem::resize_file(path, 0);
   EXPECT_THROW((void)store.load_step("Ocean1", 2), SetupError);
+}
+
+TEST(Checkpoint, CraftedPayloadLengthRejectedWithSetupError) {
+  // A payload length near 2^64 must not wrap the reader's bounds check
+  // (offset + length) into a "fits" answer: the image is rejected as
+  // truncated, not handed to an allocation of that size.
+  Checkpoint ckpt(1);
+  ckpt.put_doubles("crafted", std::vector<double>{1.0});
+  std::vector<std::byte> image = ckpt.to_bytes();
+  const std::string key = "crafted";
+  const auto* raw = reinterpret_cast<const char*>(image.data());
+  const std::string_view text(raw, image.size());
+  const std::size_t key_at = text.find(key);
+  ASSERT_NE(key_at, std::string_view::npos);
+  const std::uint64_t crafted = UINT64_MAX - 1;
+  std::memcpy(image.data() + key_at + key.size(), &crafted, sizeof(crafted));
+  EXPECT_THROW((void)Checkpoint::from_bytes(image, "crafted"), SetupError);
 }
 
 TEST(CheckpointStore, BadMagicRejected) {

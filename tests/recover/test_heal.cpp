@@ -28,7 +28,6 @@ using mph::Mph;
 using mph::RegistrySource;
 using mph::climate::EnsembleResult;
 using mph::climate::EnsembleSnapshot;
-using mph::climate::RecoverySpec;
 using mph::recover::CheckpointStore;
 
 const std::string kRegistry = R"(BEGIN
@@ -109,9 +108,8 @@ JobReport run_supervised(const std::string& store_dir, std::int64_t kill_step,
                     ? Mph::multi_instance(world, source, "Ocean", handshake)
                     : Mph::rejoin_instance(world, "Ocean", handshake);
         CheckpointStore store(store_dir);
-        const RecoverySpec spec{&store};
         const EnsembleResult r =
-            mph::climate::run_ensemble_instance(h, cfg, "statistics", &spec);
+            mph::climate::run_ensemble_instance(h, cfg, "statistics", &store);
         const std::lock_guard<std::mutex> lock(observed.mutex);
         auto& slot = observed.member_intervals[h.comp_name()];
         slot = std::max(slot, r.my_means.size());
@@ -124,9 +122,8 @@ JobReport run_supervised(const std::string& store_dir, std::int64_t kill_step,
         Mph h = Mph::components_setup(world, source, {"statistics"},
                                       handshake);
         CheckpointStore store(store_dir);
-        const RecoverySpec spec{&store};
         EnsembleResult r = mph::climate::run_ensemble_statistics(
-            h, cfg, "Ocean", kGain, &spec);
+            h, cfg, "Ocean", kGain, &store);
         const bool ping = h.ping("Ocean3");
         std::vector<std::string> failed = h.failed_components();
         const std::lock_guard<std::mutex> lock(observed.mutex);

@@ -28,7 +28,6 @@ using mph::climate::ClimateConfig;
 using mph::climate::ComponentResult;
 using mph::climate::EnsembleResult;
 using mph::climate::EnsembleSnapshot;
-using mph::climate::RecoverySpec;
 using mph::recover::CheckpointStore;
 using mph::testing::TestExec;
 
@@ -76,9 +75,8 @@ JobReport run_coupled(Wiring wiring, const ClimateConfig& cfg,
   std::mutex mutex;
   auto body = [&](Mph& h, const Comm&) {
     CheckpointStore store(store_dir);
-    const RecoverySpec spec{&store};
     const ComponentResult r =
-        mph::climate::run_coupled_component(h, cfg, {}, "coupler", &spec);
+        mph::climate::run_coupled_component(h, cfg, {}, "coupler", &store);
     if (r.component == "coupler" && h.local_proc_id() == 0) {
       const std::lock_guard<std::mutex> lock(mutex);
       outcome.mean_sst = r.coupler.mean_sst;
@@ -294,17 +292,15 @@ std::vector<EnsembleSnapshot> run_mime(const ClimateConfig& cfg,
       {TestExec{{}, "Ocean", 6,
                 [&](Mph& h, const Comm&) {
                   CheckpointStore store(store_dir);
-                  const RecoverySpec spec{&store};
                   (void)mph::climate::run_ensemble_instance(
-                      h, cfg, "statistics", &spec);
+                      h, cfg, "statistics", &store);
                 }},
        TestExec{{"statistics"}, "", 1,
                 [&](Mph& h, const Comm&) {
                   CheckpointStore store(store_dir);
-                  const RecoverySpec spec{&store};
                   const EnsembleResult r =
                       mph::climate::run_ensemble_statistics(h, cfg, "Ocean",
-                                                            0.5, &spec);
+                                                            0.5, &store);
                   if (h.local_proc_id() == 0) {
                     const std::lock_guard<std::mutex> lock(mutex);
                     snapshots = r.snapshots;

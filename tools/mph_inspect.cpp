@@ -79,7 +79,6 @@
 #include "src/mph/registry.hpp"
 #include "src/proto/contract.hpp"
 #include "src/proto/parser.hpp"
-#include "src/util/json.hpp"
 #include "src/util/strings.hpp"
 
 namespace {
@@ -395,96 +394,88 @@ int cmd_trace(const std::string& path, bool critical) {
         "with `mph_inspect top " + path + "`; `mph_inspect trace` expects "
         "the output of TraceReport::to_chrome_json()");
   }
-  const mph::util::JsonValue doc = mph::util::JsonValue::parse(buffer.str());
-
-  const mph::util::JsonValue* mph_obj = doc.find("mph");
-  if (mph_obj == nullptr) {
-    throw mph::MphError(
-        "'" + path +
-        "' has no \"mph\" metrics object — was it produced by "
-        "TraceReport::to_chrome_json()?");
-  }
+  // The one trace reader (shared with mph_prof and mph_proto); the rollup
+  // below is computed from the loaded report by the same methods the
+  // writer used for the document's "mph" object.
+  const minimpi::prof::LoadedTrace loaded =
+      minimpi::prof::load_chrome_trace(buffer.str());
+  const minimpi::TraceReport& report = loaded.report;
 
   std::printf("%s:\n", path.c_str());
 
   // Component-pair traffic matrix.
-  const mph::util::JsonValue& traffic = mph_obj->at("componentTraffic");
-  std::printf("\ncomponent traffic (%zu pair%s):\n", traffic.items().size(),
-              traffic.items().size() == 1 ? "" : "s");
-  if (traffic.items().empty()) {
+  const std::vector<minimpi::TraceReport::Traffic> traffic =
+      report.component_traffic();
+  std::printf("\ncomponent traffic (%zu pair%s):\n", traffic.size(),
+              traffic.size() == 1 ? "" : "s");
+  if (traffic.empty()) {
     std::printf("  (no point-to-point messages recorded)\n");
   }
-  for (const mph::util::JsonValue& pair : traffic.items()) {
-    std::printf("  %-16s -> %-16s %10lld msgs %12lld bytes\n",
-                pair.at("src").as_string().c_str(),
-                pair.at("dest").as_string().c_str(),
-                pair.at("messages").as_int(), pair.at("bytes").as_int());
+  for (const minimpi::TraceReport::Traffic& pair : traffic) {
+    std::printf("  %-16s -> %-16s %10llu msgs %12llu bytes\n",
+                pair.src.c_str(), pair.dest.c_str(),
+                static_cast<unsigned long long>(pair.messages),
+                static_cast<unsigned long long>(pair.bytes));
   }
 
   // Per-context (communicator) delivery counts.
-  const mph::util::JsonValue& contexts = mph_obj->at("contexts");
   std::printf("\nmessages by communicator context:\n");
-  if (contexts.items().empty()) std::printf("  (none)\n");
-  for (const mph::util::JsonValue& ctx : contexts.items()) {
-    std::printf("  context %-6lld %10lld msgs\n", ctx.at("context").as_int(),
-                ctx.at("messages").as_int());
+  if (report.comm.messages_by_context.empty()) std::printf("  (none)\n");
+  for (const auto& [context, messages] : report.comm.messages_by_context) {
+    std::printf("  context %-6llu %10llu msgs\n",
+                static_cast<unsigned long long>(context),
+                static_cast<unsigned long long>(messages));
   }
-  std::printf("\nwildcard (any_source) receives: %lld\n",
-              mph_obj->at("wildcardRecvs").as_int());
+  std::printf("\nwildcard (any_source) receives: %llu\n",
+              static_cast<unsigned long long>(report.comm.wildcard_recvs));
 
   // Ranks with the most blocked time, worst first.
   struct RankRow {
-    long long rank;
-    std::string track;
-    double recv_ns, coll_ns, handshake_ns;
-    long long dropped, queue_high_water;
-    double total() const { return recv_ns + coll_ns + handshake_ns; }
+    minimpi::TraceReport::RankBlocked blocked;
+    std::uint64_t queue_high_water;
   };
   std::vector<RankRow> rows;
-  long long total_dropped = 0;
-  for (const mph::util::JsonValue& r : mph_obj->at("ranks").items()) {
-    const mph::util::JsonValue& blocked = r.at("blocked");
-    rows.push_back(RankRow{r.at("rank").as_int(), r.at("track").as_string(),
-                           blocked.at("recvWaitNs").as_number(),
-                           blocked.at("collectiveWaitNs").as_number(),
-                           blocked.at("handshakeNs").as_number(),
-                           r.at("dropped").as_int(),
-                           r.at("queueHighWater").as_int()});
-    total_dropped += rows.back().dropped;
+  std::uint64_t total_dropped = 0;
+  const std::vector<minimpi::TraceReport::RankBlocked> blocked =
+      report.blocked_breakdown();
+  for (std::size_t i = 0; i < report.ranks.size(); ++i) {
+    rows.push_back(RankRow{blocked[i], report.ranks[i].queue_high_water});
+    total_dropped += report.ranks[i].dropped;
   }
   // Deterministic order even when two ranks blocked for exactly the same
   // time (common in lock-step couplings): break ties by rank.
   std::stable_sort(rows.begin(), rows.end(),
                    [](const RankRow& a, const RankRow& b) {
-                     if (a.total() != b.total()) return a.total() > b.total();
-                     return a.rank < b.rank;
+                     if (a.blocked.total_ns() != b.blocked.total_ns()) {
+                       return a.blocked.total_ns() > b.blocked.total_ns();
+                     }
+                     return a.blocked.world_rank < b.blocked.world_rank;
                    });
   constexpr std::size_t kTopRanks = 10;
   std::printf("\ntop blocked ranks (of %zu; ms blocked):\n", rows.size());
   std::printf("  %-20s %10s %10s %10s %10s  %s\n", "track", "recv-wait",
               "coll-wait", "handshake", "total", "queue-hw");
   for (std::size_t i = 0; i < rows.size() && i < kTopRanks; ++i) {
-    const RankRow& row = rows[i];
-    std::printf("  %-20s %10s %10s %10s %10s  %lld\n", row.track.c_str(),
-                format_ms(row.recv_ns).c_str(), format_ms(row.coll_ns).c_str(),
-                format_ms(row.handshake_ns).c_str(),
-                format_ms(row.total()).c_str(), row.queue_high_water);
+    const minimpi::TraceReport::RankBlocked& b = rows[i].blocked;
+    std::printf("  %-20s %10s %10s %10s %10s  %llu\n", b.track.c_str(),
+                format_ms(static_cast<double>(b.recv_wait_ns)).c_str(),
+                format_ms(static_cast<double>(b.collective_wait_ns)).c_str(),
+                format_ms(static_cast<double>(b.handshake_ns)).c_str(),
+                format_ms(static_cast<double>(b.total_ns())).c_str(),
+                static_cast<unsigned long long>(rows[i].queue_high_water));
   }
   if (total_dropped > 0) {
     std::printf(
-        "\nwarning: %lld event(s) dropped from full rings — raise "
+        "\nwarning: %llu event(s) dropped from full rings — raise "
         "MINIMPI_TRACE=capacity=N for complete timelines\n",
-        total_dropped);
+        static_cast<unsigned long long>(total_dropped));
   }
 
   if (critical) {
     // Causal view: the five longest critical-path segments, via the
-    // mph_prof library (re-parse with its loader to get the event-level
-    // timelines the summary above never touches).
-    const minimpi::prof::LoadedTrace loaded =
-        minimpi::prof::load_chrome_trace(buffer.str());
+    // mph_prof library.
     const minimpi::prof::Profile profile =
-        minimpi::prof::Graph::build(loaded.report).profile();
+        minimpi::prof::Graph::build(report).profile();
     std::printf("\n%s",
                 minimpi::prof::render_top_segments(profile, 5).c_str());
     std::printf(
