@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   minimpi::JobOptions options;
-  options.trace.enabled = true;  // MINIMPI_TRACE can still raise capacity
+  options.trace.enabled = true;  // MINIMPI_TRACE=capacity=N sets the rings
   options.monitor.enabled = true;  // live view: mph_inspect top logs/...
   options.monitor.interval = std::chrono::milliseconds(100);
   const minimpi::JobReport report = minimpi::run_mpmd(

@@ -1,12 +1,12 @@
 #include "src/minimpi/check.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "src/minimpi/job.hpp"
 #include "src/util/diagnostics.hpp"
+#include "src/util/strings.hpp"
 
 namespace minimpi {
 
@@ -20,35 +20,27 @@ CheckOptions CheckOptions::all() noexcept {
   return o;
 }
 
+void CheckOptions::apply(std::string_view text) noexcept {
+  for (const auto& [key, value] : mph::util::option_tokens(text)) {
+    if (value) continue;  // every MINIMPI_CHECK token is a bare flag
+    if (key == "all" || key == "1") {
+      deadlock = type_matching = collectives = leaks = true;
+    }
+    if (key == "deadlock") deadlock = true;
+    if (key == "types") type_matching = true;
+    if (key == "collectives") collectives = true;
+    if (key == "leaks") leaks = true;
+  }
+}
+
 CheckOptions CheckOptions::parse(std::string_view text) noexcept {
   CheckOptions o;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t end = text.find_first_of(", ", pos);
-    const std::string_view token =
-        text.substr(pos, end == std::string_view::npos ? end : end - pos);
-    if (token == "all" || token == "1") return all();
-    if (token == "deadlock") o.deadlock = true;
-    if (token == "types") o.type_matching = true;
-    if (token == "collectives") o.collectives = true;
-    if (token == "leaks") o.leaks = true;
-    if (end == std::string_view::npos) break;
-    pos = end + 1;
-  }
+  o.apply(text);
   return o;
 }
 
 CheckOptions CheckOptions::merged_with_env() const noexcept {
-  CheckOptions merged = *this;
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once, before rank threads.
-  if (const char* env = std::getenv("MINIMPI_CHECK")) {
-    const CheckOptions from_env = parse(env);
-    merged.deadlock |= from_env.deadlock;
-    merged.type_matching |= from_env.type_matching;
-    merged.collectives |= from_env.collectives;
-    merged.leaks |= from_env.leaks;
-  }
-  return merged;
+  return mph::util::apply_env_options(*this, "MINIMPI_CHECK");
 }
 
 // ---------------------------------------------------------------------------

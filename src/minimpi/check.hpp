@@ -86,11 +86,15 @@ struct CheckOptions {
   /// Every checker on.
   [[nodiscard]] static CheckOptions all() noexcept;
 
-  /// Parse a MINIMPI_CHECK-style value: "all"/"1", or a comma/space list of
-  /// deadlock, types, collectives, leaks.  Unknown tokens are ignored.
+  /// Apply a MINIMPI_CHECK-style value on top of these options: "all"/"1",
+  /// or a comma/space list of deadlock, types, collectives, leaks.  Tokens
+  /// only switch checkers on; unknown tokens are ignored.
+  void apply(std::string_view text) noexcept;
+
+  /// apply(text) on default options.
   [[nodiscard]] static CheckOptions parse(std::string_view text) noexcept;
 
-  /// This set of options unioned with what MINIMPI_CHECK enables.
+  /// MINIMPI_CHECK applied on top of these options.
   [[nodiscard]] CheckOptions merged_with_env() const noexcept;
 };
 

@@ -1,14 +1,15 @@
 #include "src/minimpi/metrics.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <system_error>
 
 #include "src/minimpi/mailbox.hpp"
 #include "src/util/diagnostics.hpp"
 #include "src/util/json.hpp"
+#include "src/util/strings.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MPH_MONITOR_HAS_UNIX_SOCKET 1
@@ -29,52 +30,32 @@ using mph::util::append_json_escaped;
 // Options
 // ---------------------------------------------------------------------------
 
+void MonitorOptions::apply(std::string_view text) {
+  for (const auto& [key, value] : mph::util::option_tokens(text)) {
+    if (!value) {
+      if (key == "1" || key == "on" || key == "true") enabled = true;
+      if (key == "nosocket") socket = false;
+    } else if (key == "interval") {
+      const auto ms = mph::util::parse_uint(*value);
+      if (ms && *ms <= std::numeric_limits<std::int64_t>::max()) {
+        enabled = true;
+        interval = std::chrono::milliseconds(*ms);
+      }
+    } else if (key == "dir" && !value->empty()) {
+      enabled = true;
+      dir = std::string(*value);
+    }
+  }
+}
+
 MonitorOptions MonitorOptions::parse(std::string_view text) {
   MonitorOptions opts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find_first_of(", ", start);
-    const std::string_view token =
-        text.substr(start, end == std::string_view::npos ? end : end - start);
-    if (token == "1" || token == "on" || token == "true") {
-      opts.enabled = true;
-    } else if (token.rfind("interval=", 0) == 0) {
-      const std::string value(token.substr(9));
-      const long parsed = std::strtol(value.c_str(), nullptr, 10);
-      if (parsed >= 0) {
-        opts.enabled = true;
-        opts.interval = std::chrono::milliseconds(parsed);
-      }
-    } else if (token.rfind("dir=", 0) == 0) {
-      opts.enabled = true;
-      opts.dir = std::string(token.substr(4));
-    } else if (token == "nosocket") {
-      opts.socket = false;
-    }
-    if (end == std::string_view::npos) break;
-    start = end + 1;
-  }
+  opts.apply(text);
   return opts;
 }
 
 MonitorOptions MonitorOptions::merged_with_env() const {
-  MonitorOptions merged = *this;
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once at job construction.
-  const char* env = std::getenv("MINIMPI_MONITOR");
-  if (env == nullptr) return merged;
-  const MonitorOptions from_env = parse(env);
-  if (from_env.enabled) {
-    // The environment both enables and configures: a user exporting
-    // MINIMPI_MONITOR=interval=250,dir=/tmp/mon expects those values even
-    // when the program left JobOptions::monitor at its defaults.
-    merged.enabled = true;
-    if (from_env.interval != MonitorOptions{}.interval) {
-      merged.interval = from_env.interval;
-    }
-    if (from_env.dir != MonitorOptions{}.dir) merged.dir = from_env.dir;
-    merged.socket = merged.socket && from_env.socket;
-  }
-  return merged;
+  return mph::util::apply_env_options(*this, "MINIMPI_MONITOR");
 }
 
 // ---------------------------------------------------------------------------

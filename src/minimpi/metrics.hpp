@@ -68,8 +68,8 @@ namespace minimpi {
 // Options
 // ---------------------------------------------------------------------------
 
-/// Per-job monitoring configuration.  Merged with the MINIMPI_MONITOR
-/// environment variable at Job construction (the union of both enables).
+/// Per-job monitoring configuration.  MINIMPI_MONITOR is applied on top of
+/// it at Job construction (see merged_with_env).
 struct MonitorOptions {
   /// Master switch: allocates the registry and (when interval > 0) starts
   /// the monitor thread.
@@ -94,12 +94,16 @@ struct MonitorOptions {
   [[nodiscard]] std::string exposition_path() const { return dir + "/mph_metrics.prom"; }
   [[nodiscard]] std::string socket_path() const { return dir + "/mph_monitor.sock"; }
 
-  /// Parse a MINIMPI_MONITOR-style value: "1"/"on" enable; a comma/space
-  /// list may add "interval=N" (milliseconds), "dir=PATH", and "nosocket".
-  /// Unknown tokens are ignored.
+  /// Apply a MINIMPI_MONITOR-style value on top of these options:
+  /// "1"/"on"/"true" enable; a comma/space list may add "interval=N"
+  /// (milliseconds) and "dir=PATH", which also enable, and "nosocket".
+  /// Unknown tokens and values that do not parse strictly are ignored.
+  void apply(std::string_view text);
+
+  /// apply(text) on default options.
   [[nodiscard]] static MonitorOptions parse(std::string_view text);
 
-  /// This set of options unioned with what MINIMPI_MONITOR enables.
+  /// MINIMPI_MONITOR applied on top of these options.
   [[nodiscard]] MonitorOptions merged_with_env() const;
 };
 

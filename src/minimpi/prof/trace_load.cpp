@@ -2,13 +2,12 @@
 
 #include <cmath>
 #include <deque>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "src/minimpi/error.hpp"
 #include "src/util/json.hpp"
+#include "src/util/strings.hpp"
 
 namespace minimpi::prof {
 
@@ -178,14 +177,12 @@ LoadedTrace load_chrome_trace(std::string_view json_text) {
 }
 
 LoadedTrace load_chrome_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = mph::util::read_file(path);
+  if (!text) {
     throw Error(Errc::invalid_argument,
                 "mph_prof: cannot read trace file '" + path + "'");
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return load_chrome_trace(text.str());
+  return load_chrome_trace(*text);
 }
 
 }  // namespace minimpi::prof

@@ -1,11 +1,11 @@
 #include "src/minimpi/trace.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 
 #include "src/minimpi/mailbox.hpp"
 #include "src/util/json.hpp"
+#include "src/util/strings.hpp"
 
 namespace minimpi {
 
@@ -15,38 +15,30 @@ using mph::util::append_json_escaped;
 // Options
 // ---------------------------------------------------------------------------
 
-TraceOptions TraceOptions::parse(std::string_view text) noexcept {
-  TraceOptions opts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find_first_of(", ", start);
-    const std::string_view token =
-        text.substr(start, end == std::string_view::npos ? end : end - start);
-    if (token == "1" || token == "on" || token == "all" || token == "true") {
-      opts.enabled = true;
-    } else if (token.rfind("capacity=", 0) == 0) {
-      const std::string value(token.substr(9));
-      const long parsed = std::strtol(value.c_str(), nullptr, 10);
-      if (parsed > 0) {
-        opts.enabled = true;
-        opts.ring_capacity = static_cast<std::size_t>(parsed);
+void TraceOptions::apply(std::string_view text) noexcept {
+  for (const auto& [key, value] : mph::util::option_tokens(text)) {
+    if (!value) {
+      if (key == "1" || key == "on" || key == "all" || key == "true") {
+        enabled = true;
+      }
+    } else if (key == "capacity") {
+      const auto n = mph::util::parse_uint(*value);
+      if (n && *n > 0) {
+        enabled = true;
+        ring_capacity = static_cast<std::size_t>(*n);
       }
     }
-    if (end == std::string_view::npos) break;
-    start = end + 1;
   }
+}
+
+TraceOptions TraceOptions::parse(std::string_view text) noexcept {
+  TraceOptions opts;
+  opts.apply(text);
   return opts;
 }
 
 TraceOptions TraceOptions::merged_with_env() const noexcept {
-  TraceOptions merged = *this;
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once at job construction.
-  const char* env = std::getenv("MINIMPI_TRACE");
-  if (env == nullptr) return merged;
-  const TraceOptions from_env = parse(env);
-  merged.enabled = merged.enabled || from_env.enabled;
-  merged.ring_capacity = std::max(merged.ring_capacity, from_env.ring_capacity);
-  return merged;
+  return mph::util::apply_env_options(*this, "MINIMPI_TRACE");
 }
 
 const char* trace_op_category(TraceOp op) noexcept {

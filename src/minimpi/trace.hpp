@@ -56,9 +56,8 @@ namespace minimpi {
 // Options
 // ---------------------------------------------------------------------------
 
-/// Per-job tracing configuration.  Merged with the MINIMPI_TRACE
-/// environment variable at Job construction (the union of both enables;
-/// the environment may also raise the ring capacity).
+/// Per-job tracing configuration.  MINIMPI_TRACE is applied on top of it
+/// at Job construction (see merged_with_env).
 struct TraceOptions {
   bool enabled = false;
 
@@ -67,12 +66,16 @@ struct TraceOptions {
   /// blocks or allocates on the hot path.
   std::size_t ring_capacity = 8192;
 
-  /// Parse a MINIMPI_TRACE-style value: "1"/"on"/"all" enable; a
-  /// comma/space list may add "capacity=N" to size the rings.  Unknown
-  /// tokens are ignored.
+  /// Apply a MINIMPI_TRACE-style value on top of these options:
+  /// "1"/"on"/"all"/"true" enable; a comma/space list may add
+  /// "capacity=N" (N > 0, also enables) to size the rings.  Unknown tokens
+  /// and values that do not parse strictly are ignored.
+  void apply(std::string_view text) noexcept;
+
+  /// apply(text) on default options.
   [[nodiscard]] static TraceOptions parse(std::string_view text) noexcept;
 
-  /// This set of options unioned with what MINIMPI_TRACE enables.
+  /// MINIMPI_TRACE applied on top of these options.
   [[nodiscard]] TraceOptions merged_with_env() const noexcept;
 };
 

@@ -1,11 +1,12 @@
 #include "src/minimpi/verify/trace.hpp"
 
-#include <cctype>
 #include <cstddef>
+#include <limits>
 #include <sstream>
-#include <string_view>
+#include <stdexcept>
 
 #include "src/minimpi/error.hpp"
+#include "src/util/json.hpp"
 
 namespace minimpi::verify {
 
@@ -34,180 +35,81 @@ std::string Trace::to_json() const {
 }
 
 // ---------------------------------------------------------------------------
-// Parser — a recursive-descent reader for exactly the JSON subset the
-// writer produces (objects, arrays, strings without escapes, integers,
-// booleans), tolerant of whitespace and key order.
+// Reader — util::JsonValue does the JSON; this only maps keys to fields.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+using mph::util::JsonValue;
 
-  [[nodiscard]] Trace parse() {
-    Trace trace;
-    expect('{');
-    bool first = true;
-    while (!peek_is('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "seed") {
-        trace.seed = static_cast<std::uint64_t>(parse_int());
-      } else if (key == "version") {
-        const std::int64_t version = parse_int();
-        if (version != 1) {
-          fail("unsupported trace version " + std::to_string(version));
-        }
-      } else if (key == "decisions") {
-        trace.decisions = parse_decisions();
-      } else {
-        fail("unknown key \"" + key + "\"");
+/// An integer field narrowed to its C++ type, rejecting values that do
+/// not fit instead of wrapping them.
+template <class T>
+T integer(const JsonValue& value, const std::string& key) {
+  const long long n = value.as_int();
+  if (n < static_cast<long long>(std::numeric_limits<T>::min()) ||
+      n > static_cast<long long>(std::numeric_limits<T>::max())) {
+    throw std::runtime_error("\"" + key + "\" value " + std::to_string(n) +
+                             " out of range");
+  }
+  return static_cast<T>(n);
+}
+
+Decision decision_from_json(const JsonValue& doc) {
+  Decision d;
+  for (const auto& [key, value] : doc.members()) {
+    if (key == "step") {
+      (void)value.as_int();  // informational; order in the array is binding
+    } else if (key == "rank") {
+      d.rank = integer<rank_t>(value, key);
+    } else if (key == "op") {
+      d.op = value.as_string();
+    } else if (key == "context") {
+      d.context = integer<context_t>(value, key);
+    } else if (key == "tag") {
+      d.tag = integer<tag_t>(value, key);
+    } else if (key == "chose") {
+      d.chose = integer<rank_t>(value, key);
+    } else if (key == "candidates") {
+      for (const JsonValue& c : value.items()) {
+        d.candidates.push_back(integer<rank_t>(c, key));
       }
-    }
-    expect('}');
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after trace");
-    return trace;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw Error(Errc::invalid_argument,
-                "trace parse error at offset " + std::to_string(pos_) + ": " +
-                    why);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
+    } else if (key == "immediate") {
+      d.immediate = value.as_bool();
+    } else {
+      throw std::runtime_error("unknown decision key \"" + key + "\"");
     }
   }
-
-  [[nodiscard]] bool peek_is(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') fail("escape sequences are not supported");
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    std::string out(text_.substr(start, pos_ - start));
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  [[nodiscard]] std::int64_t parse_int() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      fail("expected an integer");
-    }
-    std::int64_t value = 0;
-    const bool negative = text_[start] == '-';
-    for (std::size_t i = start + (negative ? 1 : 0); i < pos_; ++i) {
-      value = value * 10 + (text_[i] - '0');
-    }
-    return negative ? -value : value;
-  }
-
-  [[nodiscard]] bool parse_bool() {
-    skip_ws();
-    if (text_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected true/false");
-  }
-
-  [[nodiscard]] std::vector<rank_t> parse_rank_array() {
-    std::vector<rank_t> out;
-    expect('[');
-    while (!peek_is(']')) {
-      if (!out.empty()) expect(',');
-      out.push_back(static_cast<rank_t>(parse_int()));
-    }
-    expect(']');
-    return out;
-  }
-
-  [[nodiscard]] Decision parse_decision() {
-    Decision d;
-    expect('{');
-    bool first = true;
-    while (!peek_is('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "step") {
-        (void)parse_int();  // informational; order in the array is binding
-      } else if (key == "rank") {
-        d.rank = static_cast<rank_t>(parse_int());
-      } else if (key == "op") {
-        d.op = parse_string();
-      } else if (key == "context") {
-        d.context = static_cast<context_t>(parse_int());
-      } else if (key == "tag") {
-        d.tag = static_cast<tag_t>(parse_int());
-      } else if (key == "chose") {
-        d.chose = static_cast<rank_t>(parse_int());
-      } else if (key == "candidates") {
-        d.candidates = parse_rank_array();
-      } else if (key == "immediate") {
-        d.immediate = parse_bool();
-      } else {
-        fail("unknown decision key \"" + key + "\"");
-      }
-    }
-    expect('}');
-    return d;
-  }
-
-  [[nodiscard]] std::vector<Decision> parse_decisions() {
-    std::vector<Decision> out;
-    expect('[');
-    while (!peek_is(']')) {
-      if (!out.empty()) expect(',');
-      out.push_back(parse_decision());
-    }
-    expect(']');
-    return out;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+  return d;
+}
 
 }  // namespace
 
 Trace Trace::from_json(const std::string& text) {
-  return Parser(text).parse();
+  try {
+    const JsonValue doc = JsonValue::parse(text);
+    Trace trace;
+    for (const auto& [key, value] : doc.members()) {
+      if (key == "seed") {
+        trace.seed = value.as_uint();
+      } else if (key == "version") {
+        if (value.as_int() != 1) {
+          throw std::runtime_error("unsupported trace version " +
+                                   std::to_string(value.as_int()));
+        }
+      } else if (key == "decisions") {
+        for (const JsonValue& d : value.items()) {
+          trace.decisions.push_back(decision_from_json(d));
+        }
+      } else {
+        throw std::runtime_error("unknown key \"" + key + "\"");
+      }
+    }
+    return trace;
+  } catch (const std::runtime_error& e) {
+    throw Error(Errc::invalid_argument,
+                std::string("trace parse error: ") + e.what());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@
 // in program order), collectives are built on exact-source traffic, and
 // all job randomness flows from the recorded seed.
 //
-// The on-disk format is a small JSON document, written and parsed here
-// with no external dependencies:
+// The on-disk format is a small JSON document, written here and read back
+// through util::JsonValue:
 //
 //   {
 //     "version": 1,
@@ -62,8 +62,10 @@ struct Trace {
   /// Serialize to the JSON document described above.
   [[nodiscard]] std::string to_json() const;
 
-  /// Parse a dumped trace.  Throws Error(Errc::invalid_argument) with a
-  /// position-annotated message on malformed input.
+  /// Parse a dumped trace.  Throws Error(Errc::invalid_argument) on
+  /// malformed input: JSON syntax errors name their line and column, and
+  /// unknown keys, a version other than 1 and out-of-range integers are
+  /// rejected by name.
   [[nodiscard]] static Trace from_json(const std::string& text);
 
   /// Human-readable rendering, one line per step:

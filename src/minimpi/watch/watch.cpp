@@ -1,14 +1,17 @@
 #include "src/minimpi/watch/watch.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <system_error>
 
 #include "src/minimpi/prof/profile.hpp"
 #include "src/util/diagnostics.hpp"
 #include "src/util/json.hpp"
+#include "src/util/strings.hpp"
 
 namespace minimpi::watch {
 
@@ -18,95 +21,55 @@ using mph::util::append_json_escaped;
 // Options
 // ---------------------------------------------------------------------------
 
+void WatchOptions::apply(std::string_view text) {
+  for (const auto& [key, value] : mph::util::option_tokens(text)) {
+    if (!value) {
+      if (key == "1" || key == "on" || key == "true") enabled = true;
+      if (key == "noflight") flight_record = false;
+      continue;
+    }
+    const std::optional<double> real = mph::util::parse_double(*value);
+    const bool real_ok = real && *real >= 0.0 && std::isfinite(*real);
+    const std::optional<unsigned long long> count =
+        mph::util::parse_uint(*value);
+    // fire/clear/window: clamped to what the hysteresis engine can run with.
+    const auto at_least = [&](unsigned long long least) {
+      return static_cast<int>(std::clamp<unsigned long long>(
+          *count, least, std::numeric_limits<int>::max()));
+    };
+    if (key == "stall" && real_ok) {
+      stall_blocked_pct = *real;
+    } else if (key == "queue" && count) {
+      queue_high = *count;
+    } else if (key == "p99ms" && real_ok && *real < 1e13) {
+      latency_p99_ns = static_cast<std::uint64_t>(*real * 1e6);
+    } else if (key == "imbalance" && real_ok) {
+      imbalance_ratio = *real;
+    } else if (key == "faults" && count) {
+      fault_budget = *count;
+    } else if (key == "fire" && count) {
+      fire_after = at_least(1);
+    } else if (key == "clear" && count) {
+      clear_after = at_least(1);
+    } else if (key == "window" && count) {
+      window = static_cast<std::size_t>(at_least(2));
+    } else if (key == "dir" && !value->empty()) {
+      dir = std::string(*value);
+    } else {
+      continue;  // unknown key, or a value that does not parse strictly
+    }
+    enabled = true;  // every configuring token also enables
+  }
+}
+
 WatchOptions WatchOptions::parse(std::string_view text) {
   WatchOptions opts;
-  const auto number = [](std::string_view token, std::size_t prefix) {
-    const std::string value(token.substr(prefix));
-    return std::strtod(value.c_str(), nullptr);
-  };
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find_first_of(", ", start);
-    const std::string_view token =
-        text.substr(start, end == std::string_view::npos ? end : end - start);
-    if (token == "1" || token == "on" || token == "true") {
-      opts.enabled = true;
-    } else if (token.rfind("stall=", 0) == 0) {
-      opts.enabled = true;
-      opts.stall_blocked_pct = number(token, 6);
-    } else if (token.rfind("queue=", 0) == 0) {
-      opts.enabled = true;
-      opts.queue_high = static_cast<std::uint64_t>(number(token, 6));
-    } else if (token.rfind("p99ms=", 0) == 0) {
-      opts.enabled = true;
-      opts.latency_p99_ns =
-          static_cast<std::uint64_t>(number(token, 6) * 1e6);
-    } else if (token.rfind("imbalance=", 0) == 0) {
-      opts.enabled = true;
-      opts.imbalance_ratio = number(token, 10);
-    } else if (token.rfind("faults=", 0) == 0) {
-      opts.enabled = true;
-      opts.fault_budget = static_cast<std::uint64_t>(number(token, 7));
-    } else if (token.rfind("fire=", 0) == 0) {
-      opts.enabled = true;
-      opts.fire_after = std::max(1, static_cast<int>(number(token, 5)));
-    } else if (token.rfind("clear=", 0) == 0) {
-      opts.enabled = true;
-      opts.clear_after = std::max(1, static_cast<int>(number(token, 6)));
-    } else if (token.rfind("window=", 0) == 0) {
-      opts.enabled = true;
-      opts.window = std::max<std::size_t>(
-          2, static_cast<std::size_t>(number(token, 7)));
-    } else if (token.rfind("dir=", 0) == 0) {
-      opts.enabled = true;
-      opts.dir = std::string(token.substr(4));
-    } else if (token == "noflight") {
-      opts.flight_record = false;
-    }
-    if (end == std::string_view::npos) break;
-    start = end + 1;
-  }
+  opts.apply(text);
   return opts;
 }
 
 WatchOptions WatchOptions::merged_with_env() const {
-  WatchOptions merged = *this;
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once at job construction.
-  const char* env = std::getenv("MINIMPI_WATCH");
-  if (env == nullptr) return merged;
-  const WatchOptions from_env = parse(env);
-  if (from_env.enabled) {
-    // The environment both enables and configures, the MINIMPI_MONITOR
-    // convention: exported thresholds win over defaults the program never
-    // touched.
-    merged.enabled = true;
-    const WatchOptions defaults;
-    if (from_env.stall_blocked_pct != defaults.stall_blocked_pct) {
-      merged.stall_blocked_pct = from_env.stall_blocked_pct;
-    }
-    if (from_env.queue_high != defaults.queue_high) {
-      merged.queue_high = from_env.queue_high;
-    }
-    if (from_env.latency_p99_ns != defaults.latency_p99_ns) {
-      merged.latency_p99_ns = from_env.latency_p99_ns;
-    }
-    if (from_env.imbalance_ratio != defaults.imbalance_ratio) {
-      merged.imbalance_ratio = from_env.imbalance_ratio;
-    }
-    if (from_env.fault_budget != defaults.fault_budget) {
-      merged.fault_budget = from_env.fault_budget;
-    }
-    if (from_env.fire_after != defaults.fire_after) {
-      merged.fire_after = from_env.fire_after;
-    }
-    if (from_env.clear_after != defaults.clear_after) {
-      merged.clear_after = from_env.clear_after;
-    }
-    if (from_env.window != defaults.window) merged.window = from_env.window;
-    if (from_env.dir != defaults.dir) merged.dir = from_env.dir;
-    merged.flight_record = merged.flight_record && from_env.flight_record;
-  }
-  return merged;
+  return mph::util::apply_env_options(*this, "MINIMPI_WATCH");
 }
 
 // ---------------------------------------------------------------------------

@@ -62,8 +62,8 @@ namespace minimpi::watch {
 // Options
 // ---------------------------------------------------------------------------
 
-/// Per-job watch configuration.  Merged with the MINIMPI_WATCH environment
-/// variable at Job construction (the union of both enables).
+/// Per-job watch configuration.  MINIMPI_WATCH is applied on top of it at
+/// Job construction (see merged_with_env).
 struct WatchOptions {
   /// Master switch: allocates the Watcher (and a metrics registry if
   /// monitoring alone did not already).
@@ -115,13 +115,18 @@ struct WatchOptions {
     return dir + "/mph_flight_" + std::to_string(seq) + ".json";
   }
 
-  /// Parse a MINIMPI_WATCH-style value: "1"/"on" enable; a comma/space
-  /// list may add "stall=PCT", "queue=N", "p99ms=N", "imbalance=X",
-  /// "faults=N", "fire=N", "clear=N", "window=N", "dir=PATH", and
-  /// "noflight".  Unknown tokens are ignored.
+  /// Apply a MINIMPI_WATCH-style value on top of these options:
+  /// "1"/"on"/"true" enable; a comma/space list may add "stall=PCT",
+  /// "queue=N", "p99ms=X", "imbalance=X", "faults=N", "fire=N" (>= 1),
+  /// "clear=N" (>= 1), "window=N" (>= 2) and "dir=PATH", which also
+  /// enable, and "noflight".  Unknown tokens and values that do not parse
+  /// strictly are ignored.
+  void apply(std::string_view text);
+
+  /// apply(text) on default options.
   [[nodiscard]] static WatchOptions parse(std::string_view text);
 
-  /// This set of options unioned with what MINIMPI_WATCH enables.
+  /// MINIMPI_WATCH applied on top of these options.
   [[nodiscard]] WatchOptions merged_with_env() const;
 };
 

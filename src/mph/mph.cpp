@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "src/minimpi/collectives.hpp"
 #include "src/util/diagnostics.hpp"
+#include "src/util/strings.hpp"
 
 namespace mph {
 
@@ -50,14 +49,12 @@ Registry RegistrySource::resolve(const minimpi::Comm& world) const {
   std::string text;
   if (world.rank() == 0) {
     if (kind_ == Kind::path) {
-      std::ifstream in(payload_);
-      if (!in) {
+      std::optional<std::string> file = util::read_file(payload_);
+      if (!file) {
         throw RegistryError(0, "cannot open registration file '" + payload_ +
                                    "' on world rank 0");
       }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      text = buffer.str();
+      text = std::move(*file);
     } else {
       text = payload_;
     }

@@ -4,10 +4,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <optional>
 
 #include "src/mph/errors.hpp"
 #include "src/util/crc32.hpp"
+#include "src/util/strings.hpp"
 
 namespace mph::recover {
 
@@ -288,11 +289,12 @@ std::vector<std::uint64_t> CheckpointStore::steps(
     }
     const std::string digits =
         name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
+    // Foreign names and steps beyond 64 bits are not ours: skip them.
+    const std::optional<std::uint64_t> step = util::parse_uint(digits);
+    if (!step || digits.find_first_not_of("0123456789") != std::string::npos) {
       continue;
     }
-    result.push_back(std::stoull(digits));
+    result.push_back(*step);
   }
   std::sort(result.begin(), result.end());
   return result;
@@ -308,12 +310,10 @@ std::optional<std::uint64_t> CheckpointStore::latest_step(
 std::optional<Checkpoint> CheckpointStore::load_step(std::string_view member,
                                                      std::uint64_t step) const {
   const std::string path = path_of(member, step);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
+  const std::optional<std::string> raw = util::read_file(path);
+  if (!raw) return std::nullopt;
   const Checkpoint ckpt =
-      Checkpoint::from_bytes(std::as_bytes(std::span<const char>(raw)), path);
+      Checkpoint::from_bytes(std::as_bytes(std::span<const char>(*raw)), path);
   if (ckpt.step() != step) {
     throw SetupError("checkpoint '" + path + "' is stamped step " +
                      std::to_string(ckpt.step()) + " but named step " +

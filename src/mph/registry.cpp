@@ -1,7 +1,6 @@
 #include "src/mph/registry.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -253,13 +252,11 @@ Registry Registry::parse(std::string_view text) {
 }
 
 Registry Registry::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) {
     throw RegistryError(0, "cannot open registration file '" + path + "'");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
+  return parse(*text);
 }
 
 int Registry::total_components() const noexcept {

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "src/minimpi/error.hpp"
 #include "src/minimpi/prof/trace_load.hpp"
 #include "src/proto/expand.hpp"
+#include "src/util/strings.hpp"
 
 namespace mph::proto {
 
@@ -88,7 +90,13 @@ ObservedTrace read_trace_ops(std::string_view json_text) {
     rank.component = minimpi::TraceReport::component_of(r.track);
     if (const std::size_t colon = r.track.rfind(':');
         colon != std::string::npos) {
-      rank.local = std::atoi(r.track.c_str() + colon + 1);
+      const std::optional<long long> local =
+          util::parse_int(std::string_view(r.track).substr(colon + 1));
+      if (!local || *local < 0 || *local > std::numeric_limits<int>::max()) {
+        throw MphError("proto: trace track '" + r.track +
+                       "' does not end in a local rank");
+      }
+      rank.local = static_cast<int>(*local);
     }
     // Protocol ops, in execution order (the export writes each rank's ring
     // in order and the loader keeps it).

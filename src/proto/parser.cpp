@@ -1,11 +1,13 @@
 #include "src/proto/parser.hpp"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/util/strings.hpp"
 
 namespace mph::proto {
 
@@ -15,12 +17,14 @@ struct Token {
   enum class Kind { word, number, punct, end };
   Kind kind = Kind::end;
   std::string text;       // word / punct spelling
-  long long value = 0;    // number
+  int value = 0;          // number
   SourceLoc loc;
 };
 
 /// Hand-rolled lexer: words, non-negative integers, and the punctuation the
 /// grammar needs ("{ } [ ] * ..").  '#' starts a comment to end of line.
+/// Every integer in the grammar (ranks, counts, tags, sizes) is an int, so
+/// a literal beyond INT_MAX is rejected here, at its position.
 class Lexer {
  public:
   Lexer(std::string_view text, const std::string& origin)
@@ -96,7 +100,14 @@ class Lexer {
         current_.text += text_[pos_];
         bump();
       }
-      current_.value = std::stoll(current_.text);
+      const std::optional<long long> value = util::parse_int(current_.text);
+      if (!value || *value > std::numeric_limits<int>::max()) {
+        fail(current_.loc, "integer '" + current_.text +
+                               "' out of range (at most " +
+                               std::to_string(std::numeric_limits<int>::max()) +
+                               ")");
+      }
+      current_.value = static_cast<int>(*value);
       return;
     }
     if (c == '.' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '.') {
@@ -434,7 +445,7 @@ class Parser {
       lex_.fail(tok.loc,
                 std::string("expected ") + what + ", got '" + tok.text + "'");
     }
-    return static_cast<int>(tok.value);
+    return tok.value;
   }
 
   int expect_count(const char* what, bool allow_zero = false) {
@@ -444,7 +455,7 @@ class Parser {
       lex_.fail(tok.loc, std::string("expected ") + what +
                              " (a positive integer), got '" + tok.text + "'");
     }
-    return static_cast<int>(tok.value);
+    return tok.value;
   }
 
   // --- post-parse validation (handles forward references) -----------------
@@ -542,13 +553,11 @@ Contract parse_contract(std::string_view text, std::string origin) {
 }
 
 Contract load_contract(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) {
     throw MphError("proto: cannot read contract file '" + path + "'");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_contract(buf.str(), path);
+  return parse_contract(*text, path);
 }
 
 }  // namespace mph::proto

@@ -2,8 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
+
+#include "src/util/strings.hpp"
 
 namespace mph::util {
 
@@ -74,9 +75,19 @@ class JsonParser {
 
   JsonValue parse_value() {
     skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    switch (const char c = peek()) {
+      case '{':
+      case '[': {
+        // One recursion frame per level: an unbounded depth would overflow
+        // the stack instead of failing with a position.
+        if (++depth_ > kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type_ = JsonValue::Type::string;
@@ -228,7 +239,7 @@ class JsonParser {
       }
     }
     if (pos_ == start) fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
+    std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) {
@@ -238,11 +249,13 @@ class JsonParser {
     JsonValue v;
     v.type_ = JsonValue::Type::number;
     v.number_ = value;
+    v.string_ = std::move(token);
     return v;
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 JsonValue JsonValue::parse(std::string_view text) {
@@ -261,12 +274,22 @@ double JsonValue::as_number() const {
 
 long long JsonValue::as_int() const {
   const double value = as_number();
-  constexpr double kMax =
-      static_cast<double>(std::numeric_limits<long long>::max());
-  if (!(value >= -kMax && value <= kMax)) {
+  if (const std::optional<long long> exact = parse_int(string_)) return *exact;
+  constexpr double kLimit = 0x1p63;  // first double past LLONG_MAX
+  if (!(value >= -kLimit && value < kLimit)) {
     type_error("an integer in range");
   }
   return static_cast<long long>(value);
+}
+
+unsigned long long JsonValue::as_uint() const {
+  const double value = as_number();
+  if (const auto exact = parse_uint(string_)) return *exact;
+  constexpr double kLimit = 0x1p64;  // first double past ULLONG_MAX
+  if (!(value >= 0.0 && value < kLimit)) {
+    type_error("an unsigned integer in range");
+  }
+  return static_cast<unsigned long long>(value);
 }
 
 const std::string& JsonValue::as_string() const {

@@ -6,8 +6,10 @@
 // Google Benchmark `--json` reporter output — without adding a third-party
 // dependency.  Full JSON value model (null/bool/number/string/array/
 // object), UTF-8 passed through verbatim, \uXXXX escapes decoded for the
-// BMP.  Not a validator of last resort: numbers are parsed with strtod,
-// and object keys keep their insertion order (duplicates keep the first).
+// BMP.  Not a validator of last resort: numbers are parsed with strtod
+// (each keeps its source text, so integers read back exactly), object keys
+// keep their insertion order (duplicates keep the first), and nesting is
+// capped at kMaxJsonDepth.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +19,11 @@
 #include <vector>
 
 namespace mph::util {
+
+/// Deepest array/object nesting JsonValue::parse accepts: far above what
+/// any writer in the repo produces (under 10), far below what would
+/// exhaust a thread's stack.
+inline constexpr int kMaxJsonDepth = 512;
 
 /// An immutable parsed JSON value.
 class JsonValue {
@@ -35,8 +42,12 @@ class JsonValue {
   /// Typed accessors; each throws std::runtime_error on a type mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
-  /// as_number(), truncated; throws when the value is not representable.
+  /// The number as an integer: exact when its source text is an integer
+  /// (so 64-bit seeds survive), otherwise as_number() truncated.  Throws
+  /// when the value is not representable.
   [[nodiscard]] long long as_int() const;
+  /// as_int() for unsigned values up to 2^64-1; negatives throw.
+  [[nodiscard]] unsigned long long as_uint() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<JsonValue>& items() const;
   [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>& members()
@@ -55,7 +66,7 @@ class JsonValue {
   Type type_ = Type::null;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
+  std::string string_;  ///< string value, or a number's source text
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 
 namespace mph::util {
 
@@ -73,6 +76,30 @@ std::optional<long long> parse_int(std::string_view s) noexcept {
   return value;
 }
 
+std::optional<unsigned long long> parse_uint(std::string_view s) noexcept {
+  s = trim(s);
+  if (s.empty()) return std::nullopt;
+  unsigned long long value = 0;
+  const char* first = s.data();
+  const char* last = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc{} || ptr != last) return std::nullopt;
+  return value;
+}
+
+unsigned long long parse_flag_uint(std::string_view flag,
+                                   std::string_view text,
+                                   unsigned long long lo,
+                                   unsigned long long hi) {
+  const std::optional<unsigned long long> value = parse_uint(text);
+  if (!value || *value < lo || *value > hi) {
+    throw std::invalid_argument(std::string(flag) + " expects an integer in " +
+                                std::to_string(lo) + ".." + std::to_string(hi) +
+                                ", got '" + std::string(text) + "'");
+  }
+  return *value;
+}
+
 std::optional<double> parse_double(std::string_view s) noexcept {
   s = trim(s);
   if (s.empty()) return std::nullopt;
@@ -107,6 +134,29 @@ split_key_value(std::string_view token) noexcept {
   const std::size_t eq = token.find('=');
   if (eq == std::string_view::npos || eq == 0) return std::nullopt;
   return std::pair{token.substr(0, eq), token.substr(eq + 1)};
+}
+
+std::vector<OptionToken> option_tokens(std::string_view text) {
+  std::vector<OptionToken> out;
+  for (std::string_view token : split_ws(text)) {
+    for (std::string_view part : split(token, ',')) {
+      if (part.empty()) continue;
+      if (const auto kv = split_key_value(part)) {
+        out.push_back({kv->first, kv->second});
+      } else {
+        out.push_back({part, std::nullopt});
+      }
+    }
+  }
+  return out;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return std::move(text).str();
 }
 
 bool valid_component_name(std::string_view s) noexcept {

@@ -2,11 +2,14 @@
 //
 // The registration-file parser (src/mph/registry.cpp) is the main consumer:
 // it needs whitespace-tolerant tokenization, comment stripping and strict
-// numeric parsing with good error messages.  Everything here is allocation
-// light and exception free except where documented.
+// numeric parsing with good error messages.  Every other text input of the
+// repo (MINIMPI_* option strings, CLI flags, file names, whole files) goes
+// through the same helpers.  Everything here is allocation light and
+// exception free except where documented.
 #pragma once
 
 #include <charconv>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,6 +39,18 @@ namespace mph::util {
 /// Strict integer parse: the whole token must be consumed.
 [[nodiscard]] std::optional<long long> parse_int(std::string_view s) noexcept;
 
+/// Strict unsigned parse: digits only (no sign), the whole token consumed,
+/// and the value within 64 bits.
+[[nodiscard]] std::optional<unsigned long long> parse_uint(
+    std::string_view s) noexcept;
+
+/// A command-line flag's value as an integer in [lo, hi].  Throws
+/// std::invalid_argument naming the flag otherwise, e.g.
+/// "--top expects an integer in 1..N, got '2x'".
+[[nodiscard]] unsigned long long parse_flag_uint(
+    std::string_view flag, std::string_view text, unsigned long long lo = 0,
+    unsigned long long hi = ~0ULL);
+
 /// Strict floating-point parse: the whole token must be consumed.
 [[nodiscard]] std::optional<double> parse_double(std::string_view s) noexcept;
 
@@ -51,6 +66,32 @@ namespace mph::util {
 /// or the name part is empty.
 [[nodiscard]] std::optional<std::pair<std::string_view, std::string_view>>
 split_key_value(std::string_view token) noexcept;
+
+/// One token of a MINIMPI_*-style option string: a bare flag ("on",
+/// "nosocket") has no value; "key=value" splits at the first '='.
+struct OptionToken {
+  std::string_view key;
+  std::optional<std::string_view> value;
+};
+
+/// Split a comma/space separated option string ("on,capacity=512 dir=x")
+/// into tokens; empty tokens are dropped.
+[[nodiscard]] std::vector<OptionToken> option_tokens(std::string_view text);
+
+/// The one precedence rule of the MINIMPI_* variables: the tokens of the
+/// environment variable `name`, applied on top of `options` with
+/// `options.apply(text)` (a token that parses sets the field it names;
+/// unknown keys and values that do not parse strictly are ignored).
+template <class Options>
+[[nodiscard]] Options apply_env_options(Options options, const char* name) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once at job construction.
+  if (const char* env = std::getenv(name)) options.apply(env);
+  return options;
+}
+
+/// The whole contents of the file at `path`, or nullopt when it cannot be
+/// opened.  Callers turn nullopt into their own error type.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
 /// A valid component name-tag: nonempty, no whitespace, none of the
 /// structural registry keywords, and not itself a key=value token.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,27 @@ TEST(DeadlockCheck, DelayedDeliveryIsNotReportedAsDeadlock) {
   ASSERT_TRUE(report.check.has_value());
   EXPECT_TRUE(report.check->deadlocks.empty())
       << report.check->deadlocks.front();
+}
+
+TEST(CheckOptions, EnvironmentTokensApplyOnTopOfTheProgram) {
+  minimpi::CheckOptions programmatic;
+  programmatic.deadlock = true;
+  programmatic.watch_interval = std::chrono::milliseconds(5);
+  ::setenv("MINIMPI_CHECK", "types,bogus", 1);
+  const minimpi::CheckOptions merged = programmatic.merged_with_env();
+  ::setenv("MINIMPI_CHECK", "all", 1);
+  const minimpi::CheckOptions all = programmatic.merged_with_env();
+  ::unsetenv("MINIMPI_CHECK");
+  // Flag tokens only switch checkers on; nothing the environment does not
+  // name changes.
+  EXPECT_TRUE(merged.deadlock);
+  EXPECT_TRUE(merged.type_matching);
+  EXPECT_FALSE(merged.collectives);
+  EXPECT_FALSE(merged.leaks);
+  EXPECT_EQ(merged.watch_interval, std::chrono::milliseconds(5));
+  EXPECT_TRUE(all.deadlock && all.type_matching && all.collectives &&
+              all.leaks);
+  EXPECT_EQ(all.watch_interval, std::chrono::milliseconds(5));
 }
 
 TEST(DeadlockCheck, EnvironmentVariableEnablesChecker) {

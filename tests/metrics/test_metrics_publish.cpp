@@ -10,13 +10,13 @@
 #include <fstream>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/minimpi/metrics.hpp"
 #include "src/mph/monitor.hpp"
+#include "src/util/strings.hpp"
 #include "tests/mph/mph_test_util.hpp"
 
 using namespace mph;
@@ -58,10 +58,7 @@ void chatter(Mph& h) {
 }
 
 std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  return mph::util::read_file(path).value_or("");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -83,6 +84,30 @@ TEST(MonitorOptions, UnknownTokensIgnored) {
   const MonitorOptions opts = MonitorOptions::parse("on,bogus=7,whatever");
   EXPECT_TRUE(opts.enabled);
   EXPECT_EQ(opts.interval.count(), MonitorOptions{}.interval.count());
+}
+
+TEST(MonitorOptions, IntervalMustParseStrictly) {
+  // "abc" is not zero: a non-numeric interval must not switch publishing
+  // off.
+  const MonitorOptions opts = MonitorOptions::parse("interval=abc");
+  EXPECT_EQ(opts.interval.count(), MonitorOptions{}.interval.count());
+  EXPECT_FALSE(opts.enabled);
+  EXPECT_EQ(MonitorOptions::parse("interval=-1").interval.count(),
+            MonitorOptions{}.interval.count());
+}
+
+TEST(MonitorOptions, EnvironmentTokensApplyOnTopOfTheProgram) {
+  MonitorOptions programmatic;
+  programmatic.interval = std::chrono::milliseconds(250);
+  programmatic.dir = "/tmp/program_dir";
+  ::setenv("MINIMPI_MONITOR", "interval=100", 1);
+  const MonitorOptions merged = programmatic.merged_with_env();
+  ::unsetenv("MINIMPI_MONITOR");
+  // The exported interval wins even though it equals the default; the
+  // program's dir, which the environment does not name, stays.
+  EXPECT_TRUE(merged.enabled);
+  EXPECT_EQ(merged.interval.count(), 100);
+  EXPECT_EQ(merged.dir, "/tmp/program_dir");
 }
 
 // --- registry aggregation ---------------------------------------------------

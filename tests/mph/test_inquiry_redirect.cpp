@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "src/mph/compat.hpp"
+#include "src/util/strings.hpp"
 #include "tests/mph/mph_test_util.hpp"
 
 using namespace mph;
@@ -16,10 +17,7 @@ namespace {
 const std::string kRegistry = "BEGIN\natmosphere\nocean\ncoupler\nEND\n";
 
 std::string read_file(const std::filesystem::path& p) {
-  std::ifstream in(p);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return mph::util::read_file(p.string()).value_or("");
 }
 
 std::filesystem::path fresh_dir(const std::string& name) {

@@ -3,13 +3,14 @@
 // golden texts stay machine-independent.
 #pragma once
 
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/proto/contract.hpp"
 #include "src/proto/parser.hpp"
+#include "src/util/strings.hpp"
 
 #ifndef MPH_CONTRACT_DIR
 #error "MPH_CONTRACT_DIR must point at examples/contracts"
@@ -21,11 +22,9 @@
 namespace mph::proto::testing {
 
 inline std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  std::optional<std::string> text = util::read_file(path);
+  if (!text) throw std::runtime_error("cannot read " + path);
+  return std::move(*text);
 }
 
 /// Parse a shipped contract with its origin pinned to the bare basename,

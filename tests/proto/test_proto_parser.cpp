@@ -100,6 +100,8 @@ TEST(ProtoParser, DiagnosticsMatchGoldenFile) {
       "flarp solo[0]",
       "send solo[5] tag 7 type int",
       "either { barrier world }",
+      "send solo[0] tag 99999999999999999999 type int",
+      "send solo[0] tag 4294967303 type int",
   };
   std::string got;
   for (const std::string& probe : probes) {

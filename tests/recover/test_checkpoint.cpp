@@ -202,6 +202,19 @@ TEST(Checkpoint, CraftedPayloadLengthRejectedWithSetupError) {
   EXPECT_THROW((void)Checkpoint::from_bytes(image, "crafted"), SetupError);
 }
 
+TEST(CheckpointStore, OversizedStepFileNameIsSkipped) {
+  const std::string dir = fresh_dir("oversized");
+  const CheckpointStore store(dir, 2);
+  Checkpoint ckpt(3);
+  ckpt.put_scalar("x", 1.0);
+  store.save("m", ckpt);
+  // A step number beyond 64 bits cannot be ours: it is skipped like any
+  // other foreign file name.
+  std::ofstream(dir + "/m.step99999999999999999999999.ckpt") << "junk";
+  EXPECT_EQ(store.steps("m"), (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(store.latest_step("m"), 3u);
+}
+
 TEST(CheckpointStore, BadMagicRejected) {
   const CheckpointStore store(fresh_dir("magic"), 2);
   Checkpoint ckpt(1);

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
@@ -148,6 +149,28 @@ TEST(TraceOptions, ParseTokens) {
   const TraceOptions bad = TraceOptions::parse("capacity=bogus");
   EXPECT_FALSE(bad.enabled);
   EXPECT_EQ(bad.ring_capacity, TraceOptions{}.ring_capacity);
+}
+
+TEST(TraceOptions, CapacityMustParseStrictly) {
+  // A numeric prefix is not a number: the default stays.
+  const TraceOptions trailing = TraceOptions::parse("capacity=12abc");
+  EXPECT_FALSE(trailing.enabled);
+  EXPECT_EQ(trailing.ring_capacity, TraceOptions{}.ring_capacity);
+  EXPECT_EQ(TraceOptions::parse("capacity=-5").ring_capacity,
+            TraceOptions{}.ring_capacity);
+  EXPECT_EQ(TraceOptions::parse("capacity=0").ring_capacity,
+            TraceOptions{}.ring_capacity);
+}
+
+TEST(TraceOptions, EnvironmentTokensApplyOnTopOfTheProgram) {
+  TraceOptions programmatic;
+  programmatic.ring_capacity = 4096;
+  ::setenv("MINIMPI_TRACE", "capacity=100", 1);
+  const TraceOptions merged = programmatic.merged_with_env();
+  ::unsetenv("MINIMPI_TRACE");
+  // The exported capacity wins even when it lowers the program's value.
+  EXPECT_TRUE(merged.enabled);
+  EXPECT_EQ(merged.ring_capacity, 100u);
 }
 
 TEST(TraceOptions, MergedWithEnvIsUnion) {

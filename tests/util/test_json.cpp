@@ -2,6 +2,7 @@
 // that `mph_proto conform` / `mph_inspect trace` error messages rely on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -67,4 +68,37 @@ TEST(Json, UnterminatedStringPointsPastTheOpeningQuote) {
   const std::string what = parse_error("{\"key\": \"value");
   EXPECT_NE(what.find("unterminated string"), std::string::npos) << what;
   EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+}
+
+TEST(Json, NestingDeeperThanTheLimitFailsWithAPosition) {
+  // The parser recurses once per level, so two million '[' must be cut off
+  // by the limit before they exhaust the stack.
+  const std::string what = parse_error(std::string(2'000'000, '['));
+  EXPECT_NE(what.find("nesting deeper than"), std::string::npos) << what;
+  EXPECT_NE(what.find("line 1, column " +
+                      std::to_string(u::kMaxJsonDepth + 1)),
+            std::string::npos)
+      << what;
+  // Exactly at the limit still parses.
+  const std::string deepest = std::string(u::kMaxJsonDepth, '[') +
+                              std::string(u::kMaxJsonDepth, ']');
+  EXPECT_NO_THROW((void)u::JsonValue::parse(deepest));
+}
+
+TEST(Json, IntegersAreExactFromTheirSourceText) {
+  // 2^53 + 1 and the 64-bit extremes have no exact double.
+  const u::JsonValue doc = u::JsonValue::parse(
+      R"([9007199254740993, 9223372036854775807, -9223372036854775808,
+          18446744073709551615, 2.9, -2.9, 1e3, -1])");
+  EXPECT_EQ(doc.at(0).as_int(), 9007199254740993LL);
+  EXPECT_EQ(doc.at(0).as_uint(), 9007199254740993ULL);
+  EXPECT_EQ(doc.at(1).as_int(), INT64_MAX);
+  EXPECT_EQ(doc.at(2).as_int(), INT64_MIN);
+  EXPECT_EQ(doc.at(3).as_uint(), UINT64_MAX);
+  EXPECT_THROW((void)doc.at(3).as_int(), std::runtime_error);
+  // Non-integer text keeps the truncating path.
+  EXPECT_EQ(doc.at(4).as_int(), 2);
+  EXPECT_EQ(doc.at(5).as_int(), -2);
+  EXPECT_EQ(doc.at(6).as_uint(), 1000u);
+  EXPECT_THROW((void)doc.at(7).as_uint(), std::runtime_error);
 }

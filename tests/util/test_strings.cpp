@@ -2,6 +2,13 @@
 #include "src/util/strings.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace u = mph::util;
 
@@ -90,6 +97,52 @@ TEST(ParseInt, RejectsGarbage) {
   EXPECT_FALSE(u::parse_int("a12").has_value());
   EXPECT_FALSE(u::parse_int("1.5").has_value());
   EXPECT_FALSE(u::parse_int("1 2").has_value());
+}
+
+TEST(ParseUint, FullSixtyFourBitsButNoSign) {
+  EXPECT_EQ(u::parse_uint("18446744073709551615"), 18446744073709551615ULL);
+  EXPECT_FALSE(u::parse_uint("18446744073709551616").has_value());
+  EXPECT_FALSE(u::parse_uint("-1").has_value());
+  EXPECT_FALSE(u::parse_uint("+1").has_value());
+  EXPECT_FALSE(u::parse_uint("2x").has_value());
+}
+
+TEST(ParseFlagUint, ValueOutsideItsRangeNamesTheFlag) {
+  EXPECT_EQ(u::parse_flag_uint("--top", "3", 1, 10), 3u);
+  try {
+    (void)u::parse_flag_uint("--top", "0", 1, 10);
+    ADD_FAILURE() << "0 accepted for a flag whose minimum is 1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--top expects an integer in 1..10, got '0'");
+  }
+  EXPECT_THROW((void)u::parse_flag_uint("--seed", "-1"),
+               std::invalid_argument);
+}
+
+TEST(OptionTokens, CommaAndSpaceSeparatedKeyValueList) {
+  const std::vector<u::OptionToken> tokens =
+      u::option_tokens(" on,capacity=512  dir=a=b,,nosocket ");
+  ASSERT_EQ(tokens.size(), 4u);
+  EXPECT_EQ(tokens[0].key, "on");
+  EXPECT_FALSE(tokens[0].value.has_value());
+  EXPECT_EQ(tokens[1].key, "capacity");
+  EXPECT_EQ(tokens[1].value, "512");
+  EXPECT_EQ(tokens[2].key, "dir");
+  EXPECT_EQ(tokens[2].value, "a=b");
+  EXPECT_EQ(tokens[3].key, "nosocket");
+  EXPECT_TRUE(u::option_tokens("").empty());
+}
+
+TEST(ReadFile, WholeContentsOrNothing) {
+  const std::string path = ::testing::TempDir() + "mph_read_file_" +
+                           std::to_string(::getpid()) + ".txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string("a\0b\r\nc", 6);
+  }
+  EXPECT_EQ(u::read_file(path), std::string("a\0b\r\nc", 6));
+  std::remove(path.c_str());
+  EXPECT_FALSE(u::read_file(path).has_value());
 }
 
 TEST(ParseDouble, ValidValues) {

@@ -1,7 +1,8 @@
 // The decision-trace format: JSON round-trips, parse errors are diagnosed
-// with an offset, and the human rendering names components.
+// with a line and column, and the human rendering names components.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "src/minimpi/error.hpp"
@@ -43,15 +44,41 @@ TEST(VerifyTrace, EmptyTraceRoundTrips) {
   EXPECT_TRUE(parsed.decisions.empty());
 }
 
+TEST(VerifyTrace, SixtyFourBitSeedRoundTripsExactly) {
+  // Above 2^53 a double cannot hold the seed; the reader must not go
+  // through one.
+  Trace trace = sample_trace();
+  trace.seed = UINT64_MAX;
+  const Trace parsed = Trace::from_json(trace.to_json());
+  EXPECT_EQ(parsed.seed, UINT64_MAX);
+  EXPECT_EQ(parsed, trace);
+  trace.seed = 18446744073709551557ULL;  // the largest 64-bit prime
+  EXPECT_EQ(Trace::from_json(trace.to_json()).seed, trace.seed);
+}
+
 TEST(VerifyTrace, ParseErrorsNameTheOffset) {
   try {
     (void)Trace::from_json("{\"version\": 1, \"seed\": oops}");
     FAIL() << "expected a parse error";
   } catch (const minimpi::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("trace parse error at offset"),
+    // `oops` starts at line 1, column 24.
+    EXPECT_NE(std::string(e.what()).find(
+                  "trace parse error: json: expected a value at line 1, "
+                  "column 24"),
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(VerifyTrace, RejectsUnknownKeysAndOutOfRangeIntegers) {
+  EXPECT_THROW((void)Trace::from_json("{\"version\": 1, \"sed\": 1}"),
+               minimpi::Error);
+  EXPECT_THROW((void)Trace::from_json(
+                   "{\"version\": 1, \"seed\": 1, \"decisions\": "
+                   "[{\"rank\": 4294967296}]}"),
+               minimpi::Error);
+  EXPECT_THROW((void)Trace::from_json("{\"version\": 1, \"seed\": -1}"),
+               minimpi::Error);
 }
 
 TEST(VerifyTrace, RejectsUnknownVersion) {

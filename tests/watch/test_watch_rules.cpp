@@ -321,6 +321,29 @@ TEST(WatchOptionsTest, ParseReadsTheMonitorStyleTokenList) {
   EXPECT_EQ(watch::WatchOptions::parse("window=1").window, 2U);
 }
 
+TEST(WatchOptionsTest, NonNumericThresholdIsIgnored) {
+  // "abc" is not zero: a queue threshold of 0 would fire the queue rule
+  // for every component on every frame.
+  const watch::WatchOptions opts = watch::WatchOptions::parse("queue=abc");
+  EXPECT_EQ(opts.queue_high, 64U);
+  EXPECT_FALSE(opts.enabled);
+  EXPECT_DOUBLE_EQ(watch::WatchOptions::parse("stall=9x").stall_blocked_pct,
+                   watch::WatchOptions{}.stall_blocked_pct);
+}
+
+TEST(WatchOptionsTest, EnvironmentTokensApplyOnTopOfTheProgram) {
+  watch::WatchOptions base;
+  base.queue_high = 8;
+  base.fire_after = 5;
+  ::setenv("MINIMPI_WATCH", "queue=64", 1);
+  const watch::WatchOptions merged = base.merged_with_env();
+  ::unsetenv("MINIMPI_WATCH");
+  // The exported threshold wins even though it equals the default.
+  EXPECT_TRUE(merged.enabled);
+  EXPECT_EQ(merged.queue_high, 64U);
+  EXPECT_EQ(merged.fire_after, 5);
+}
+
 TEST(WatchOptionsTest, EnvironmentUnionsAndOverrides) {
   ::setenv("MINIMPI_WATCH", "stall=70,faults=3", 1);
   watch::WatchOptions base;  // disabled in code

@@ -64,7 +64,6 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -378,16 +377,14 @@ std::string format_ms(double ns) {
 }
 
 int cmd_trace(const std::string& path, bool critical) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = mph::util::read_file(path);
+  if (!text) {
     throw mph::MphError("cannot open trace file '" + path + "'");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
   // A monitor snapshot stream is also JSON-per-line and easy to pass here
   // by mistake; without this check it would "summarize" as an empty trace
   // (or die on a parse error).  Name the right subcommand instead.
-  if (mph::mon::looks_like_metrics(buffer.str())) {
+  if (mph::mon::looks_like_metrics(*text)) {
     throw mph::MphError(
         "'" + path + "' is an mph_mon metrics stream (JSONL lines with "
         "\"kind\": \"mph_metrics\"), not a Chrome trace export — view it "
@@ -398,7 +395,7 @@ int cmd_trace(const std::string& path, bool critical) {
   // below is computed from the loaded report by the same methods the
   // writer used for the document's "mph" object.
   const minimpi::prof::LoadedTrace loaded =
-      minimpi::prof::load_chrome_trace(buffer.str());
+      minimpi::prof::load_chrome_trace(*text);
   const minimpi::TraceReport& report = loaded.report;
 
   std::printf("%s:\n", path.c_str());

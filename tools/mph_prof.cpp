@@ -21,9 +21,12 @@
 //       Default output: <trace>.critical.json.
 //
 // Exit status: 0 on success, 1 on load/analysis failure, 2 on usage.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,10 +34,12 @@
 #include "src/minimpi/error.hpp"
 #include "src/minimpi/prof/profile.hpp"
 #include "src/minimpi/prof/trace_load.hpp"
+#include "src/util/strings.hpp"
 
 namespace {
 
 namespace prof = minimpi::prof;
+using mph::util::parse_flag_uint;
 
 int usage() {
   std::fprintf(
@@ -50,14 +55,13 @@ int cmd_report(const std::vector<std::string>& args) {
   std::size_t top = 5;
   struct Target {
     std::string name;
+    std::optional<minimpi::rank_t> rank;  ///< set for rank:<R>
     double fraction = 0.2;
   };
   std::vector<Target> targets;
   for (const std::string& arg : args) {
     if (arg.rfind("--top=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + 6, nullptr, 10);
-      if (parsed <= 0) return usage();
-      top = static_cast<std::size_t>(parsed);
+      top = parse_flag_uint("--top", arg.substr(6), 1, SIZE_MAX);
     } else if (arg.rfind("--what-if=", 0) == 0) {
       Target t;
       t.name = arg.substr(10);
@@ -65,14 +69,17 @@ int cmd_report(const std::vector<std::string>& args) {
       const std::size_t min_pos =
           t.name.rfind("rank:", 0) == 0 ? 5 : 0;
       const std::size_t colon = t.name.rfind(':');
-      if (colon != std::string::npos && colon >= min_pos &&
-          colon + 1 < t.name.size()) {
-        char* end = nullptr;
-        const double pct = std::strtod(t.name.c_str() + colon + 1, &end);
-        if (end != nullptr && *end == '\0' && pct > 0.0) {
-          t.fraction = pct / 100.0;
+      if (colon != std::string::npos && colon >= min_pos) {
+        const std::optional<double> pct =
+            mph::util::parse_double(std::string_view(t.name).substr(colon + 1));
+        if (pct && *pct > 0.0) {
+          t.fraction = *pct / 100.0;
           t.name.resize(colon);
         }
+      }
+      if (t.name.rfind("rank:", 0) == 0) {
+        t.rank = static_cast<minimpi::rank_t>(
+            parse_flag_uint("--what-if", t.name.substr(5), 0, INT_MAX));
       }
       if (t.name.empty()) return usage();
       targets.push_back(std::move(t));
@@ -99,10 +106,9 @@ int cmd_report(const std::vector<std::string>& args) {
     }
   }
   for (const Target& t : targets) {
-    if (t.name.rfind("rank:", 0) == 0) {
-      const long rank = std::strtol(t.name.c_str() + 5, nullptr, 10);
-      what_ifs.push_back(prof::what_if_rank(
-          graph, profile, static_cast<minimpi::rank_t>(rank), t.fraction));
+    if (t.rank) {
+      what_ifs.push_back(
+          prof::what_if_rank(graph, profile, *t.rank, t.fraction));
     } else {
       what_ifs.push_back(
           prof::what_if_component(graph, profile, t.name, t.fraction));
@@ -155,6 +161,9 @@ int main(int argc, char** argv) {
   try {
     if (command == "report") return cmd_report(args);
     if (command == "annotate") return cmd_annotate(args);
+  } catch (const std::invalid_argument& ex) {  // a bad flag value
+    std::fprintf(stderr, "mph_prof: %s\n", ex.what());
+    return usage();
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "mph_prof: %s\n", ex.what());
     return 1;

@@ -27,10 +27,10 @@
 //
 // Exit status: 0 success, 1 findings (or missing expected findings),
 // 2 usage/parse/IO errors.
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +39,7 @@
 #include "src/proto/conform.hpp"
 #include "src/proto/infer.hpp"
 #include "src/proto/parser.hpp"
+#include "src/util/strings.hpp"
 #include "tools/mode_scenarios.hpp"
 
 namespace {
@@ -58,11 +59,9 @@ int usage() {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
+  std::optional<std::string> text = mph::util::read_file(path);
+  if (!text) throw std::runtime_error("cannot read '" + path + "'");
+  return std::move(*text);
 }
 
 void write_file(const std::string& path, const std::string& text) {
@@ -163,7 +162,8 @@ int cmd_record(const std::vector<std::string>& args) {
       out_path = args[i];
     } else if (args[i] == "--ranks") {
       if (++i >= args.size()) return usage();
-      ranks = std::stoi(args[i]);
+      ranks = static_cast<int>(
+          mph::util::parse_flag_uint("--ranks", args[i], 1, INT_MAX));
     } else if (mode.empty()) {
       mode = args[i];
     } else {

@@ -36,16 +36,18 @@
 // not met (a pass-case failed, a mutant went unfound, or an exploration
 // was incomplete under --require-complete), 2 on usage errors, replay
 // divergence, or internal errors.
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/minimpi/racer/litmus.hpp"
 #include "src/util/json.hpp"
+#include "src/util/strings.hpp"
 
 namespace {
 
@@ -53,6 +55,7 @@ using minimpi::racer::Decision;
 using minimpi::racer::LitmusCase;
 using minimpi::racer::RacerOptions;
 using minimpi::racer::RacerReport;
+using mph::util::parse_flag_uint;
 
 struct Args {
   std::string target;
@@ -76,22 +79,13 @@ struct Args {
   std::exit(2);
 }
 
-std::uint64_t parse_u64(const std::string& text) {
-  std::size_t pos = 0;
-  const unsigned long long v = std::stoull(text, &pos);
-  if (pos != text.size()) throw std::invalid_argument(text);
-  return static_cast<std::uint64_t>(v);
-}
-
 /// Parse a trace dumped by --dump-trace (trace_to_json): the decision
 /// stack plus the litmus name it belongs to.
 std::pair<std::string, std::vector<Decision>> load_schedule(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open schedule file: " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const mph::util::JsonValue doc = mph::util::JsonValue::parse(buffer.str());
+  const std::optional<std::string> text = mph::util::read_file(path);
+  if (!text) throw std::runtime_error("cannot open schedule file: " + path);
+  const mph::util::JsonValue doc = mph::util::JsonValue::parse(*text);
   const mph::util::JsonValue* kind = doc.find("kind");
   if (kind == nullptr || kind->as_string() != "mph_racer_trace") {
     throw std::runtime_error(path + ": not an mph_racer_trace document");
@@ -212,16 +206,17 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--max-execs") {
-        args.overrides.max_executions = parse_u64(value());
+        args.overrides.max_executions = parse_flag_uint(arg, value());
         args.have_overrides = true;
       } else if (arg == "--budget-ms") {
-        args.overrides.budget_ms = parse_u64(value());
+        args.overrides.budget_ms = parse_flag_uint(arg, value());
         args.have_overrides = true;
       } else if (arg == "--preemptions") {
-        args.overrides.preemption_bound = static_cast<int>(parse_u64(value()));
+        args.overrides.preemption_bound =
+            static_cast<int>(parse_flag_uint(arg, value(), 0, INT_MAX));
         args.have_overrides = true;
       } else if (arg == "--max-steps") {
-        args.overrides.max_steps = parse_u64(value());
+        args.overrides.max_steps = parse_flag_uint(arg, value());
         args.have_overrides = true;
       } else if (arg == "--require-complete") {
         args.require_complete = true;

@@ -50,7 +50,6 @@
 #include <fstream>
 #include <functional>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -59,6 +58,7 @@
 #include "src/minimpi/launcher.hpp"
 #include "src/minimpi/verify/verify.hpp"
 #include "src/mph/mph.hpp"
+#include "src/util/strings.hpp"
 #include "tools/mode_scenarios.hpp"
 
 namespace {
@@ -72,6 +72,7 @@ using mph_tools::label_fn;
 using mph_tools::protocol_violation;
 using mph_tools::Scenario;
 using mph_tools::ScenarioExec;
+using mph::util::parse_flag_uint;
 
 /// Delay long enough that in an ordinary (unfenced) run the un-delayed
 /// sender's message is always queued first — which is exactly the timing
@@ -194,21 +195,10 @@ int usage() {
   return 2;
 }
 
-std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
-  std::size_t used = 0;
-  const unsigned long long value = std::stoull(text, &used);
-  if (used != text.size()) {
-    throw std::runtime_error(flag + ": bad number '" + text + "'");
-  }
-  return value;
-}
-
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
+  std::optional<std::string> text = mph::util::read_file(path);
+  if (!text) throw std::runtime_error("cannot read '" + path + "'");
+  return std::move(*text);
 }
 
 void write_file(const std::string& path, const std::string& text) {
@@ -316,16 +306,14 @@ int main(int argc, char** argv) {
         return args[++i];
       };
       if (flag == "--ranks") {
-        cli.ranks = static_cast<int>(parse_u64(flag, value()));
-        if (cli.ranks <= 0 || cli.ranks > 64) {
-          throw std::runtime_error("--ranks must be in 1..64");
-        }
+        cli.ranks = static_cast<int>(parse_flag_uint(flag, value(), 1, 64));
       } else if (flag == "--max-schedules") {
-        cli.max_schedules = parse_u64(flag, value());
+        cli.max_schedules = parse_flag_uint(flag, value());
       } else if (flag == "--budget-ms") {
-        cli.budget = std::chrono::milliseconds(parse_u64(flag, value()));
+        cli.budget = std::chrono::milliseconds(
+            parse_flag_uint(flag, value(), 0, INT64_MAX));
       } else if (flag == "--seed") {
-        cli.seed = parse_u64(flag, value());
+        cli.seed = parse_flag_uint(flag, value());
       } else if (flag == "--dump-trace") {
         cli.dump_trace = value();
       } else if (flag == "--schedule") {
