@@ -94,8 +94,8 @@ inline void require_ok(const minimpi::JobReport& report, const char* what) {
 /// standard Google Benchmark main, plus a `--json <file>` (or
 /// `--json=<file>`) convenience flag expanded to
 /// `--benchmark_out=<file> --benchmark_out_format=json` — the machine
-/// readable reporter consumed by scripts/check_bench_regression.py and the
-/// perf-smoke CI job.
+/// readable reporter that the perf-smoke CI job's same-run overhead gate
+/// (scripts/check_bench_regression.py overhead) reads.
 inline int run_bench_main(int argc, char** argv) {
   std::vector<std::string> storage;
   storage.reserve(static_cast<std::size_t>(argc) + 1);

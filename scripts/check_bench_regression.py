@@ -1,29 +1,17 @@
 #!/usr/bin/env python3
-"""Compare Google Benchmark JSON results against a pinned baseline.
+"""Gate instrumentation overhead within one Google Benchmark run.
 
 Used by the perf-smoke CI job: benchmarks run with the `--json <file>`
-reporter (see bench/bench_util.hpp), and this script fails the build when
-any benchmark's reported time regresses by more than the allowed factor
-against BENCH_baseline.json.
+reporter (see bench/bench_util.hpp), and this script pairs benchmarks
+within one result set whose names differ only by an off/on token
+(bench_metrics tags them `monitor:0` / `monitor:1` via ArgNames).  It
+fails when the instrumented variant exceeds the plain one by more than the
+allowed factor, or when an off variant has no on partner: a relative gate
+that compares the machine with itself, never with an absolute number.
 
 Usage:
-    check_bench_regression.py check    <baseline.json> <result.json>... \
-        [--max-ratio 2.0] [--only PREFIX]...
-    check_bench_regression.py baseline <out.json> <result.json>...
     check_bench_regression.py overhead <result.json>... \
         [--off monitor:0] [--on monitor:1] [--max-ratio 2.0]
-
-`baseline` merges one or more result files into a compact baseline mapping
-benchmark name -> {real_time, time_unit} (taking the median entry of any
-repetitions).  `check` compares the same statistic and prints a table.
-`check --only PREFIX` (repeatable) restricts the comparison to baseline
-benchmarks whose name starts with a given prefix — how the perf-smoke job
-re-checks just the mailbox/metrics hot paths as the "racer shim compiled
-out adds nothing" gate.  `overhead` pairs benchmarks within one result set whose names differ only
-by an off/on token (bench_metrics tags them `monitor:0` / `monitor:1` via
-ArgNames) and fails when the instrumented variant exceeds the plain one by
-more than the allowed factor — a relative gate that shared-runner noise
-cannot trip the way an absolute baseline can.
 
 Only the Python standard library is used.
 """
@@ -69,92 +57,24 @@ def to_ns(bench):
     return float(bench["real_time"]) * unit
 
 
-def cmd_baseline(args):
-    times = load_times(args.results)
-    if not times:
-        print("check_bench_regression: no benchmarks in input", file=sys.stderr)
-        return 1
-    baseline = {
-        "comment": "pinned perf-smoke baseline; regenerate with "
-        "scripts/check_bench_regression.py baseline",
-        "benchmarks": {
-            name: {"real_time_ns": round(ns, 3)}
-            for name, ns in sorted(times.items())
-        },
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(baseline, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {len(times)} baseline entries to {args.out}")
-    return 0
-
-
-def cmd_check(args):
-    with open(args.baseline, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)["benchmarks"]
-    current = load_times(args.results)
-    if args.only:
-        baseline = {
-            name: entry
-            for name, entry in baseline.items()
-            if any(name.startswith(prefix) for prefix in args.only)
-        }
-        if not baseline:
-            print("check_bench_regression: --only "
-                  f"{args.only} matches no baseline benchmark",
-                  file=sys.stderr)
-            return 1
-        current = {
-            name: ns
-            for name, ns in current.items()
-            if any(name.startswith(prefix) for prefix in args.only)
-        }
-
-    failures = []
-    missing = []
-    width = max((len(n) for n in baseline), default=20)
-    print(f"{'benchmark':<{width}} {'baseline':>12} {'current':>12} "
-          f"{'ratio':>7}")
-    for name in sorted(baseline):
-        base_ns = float(baseline[name]["real_time_ns"])
-        if name not in current:
-            missing.append(name)
-            print(f"{name:<{width}} {base_ns:>12.0f} {'MISSING':>12}")
-            continue
-        cur_ns = current[name]
-        ratio = cur_ns / base_ns if base_ns > 0 else float("inf")
-        flag = "  FAIL" if ratio > args.max_ratio else ""
-        print(f"{name:<{width}} {base_ns:>12.0f} {cur_ns:>12.0f} "
-              f"{ratio:>6.2f}x{flag}")
-        if ratio > args.max_ratio:
-            failures.append((name, ratio))
-
-    new = sorted(set(current) - set(baseline))
-    for name in new:
-        print(f"{name:<{width}} {'(new)':>12} {current[name]:>12.0f}")
-
-    if missing:
-        print(f"\nwarning: {len(missing)} baseline benchmark(s) missing from "
-              "results", file=sys.stderr)
-    if failures:
-        print(f"\nFAIL: {len(failures)} benchmark(s) regressed beyond "
-              f"{args.max_ratio:.1f}x:", file=sys.stderr)
-        for name, ratio in failures:
-            print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
-        return 1
-    print(f"\nOK: no benchmark regressed beyond {args.max_ratio:.1f}x")
-    return 0
-
-
 def cmd_overhead(args):
     times = load_times(args.results)
     pairs = []
+    unpaired = []
     for name in sorted(times):
         if args.off not in name:
             continue
         on_name = name.replace(args.off, args.on)
         if on_name in times:
             pairs.append((name, on_name))
+        else:
+            unpaired.append(name)
+    if unpaired:
+        print(f"FAIL: {len(unpaired)} '{args.off}' benchmark(s) unpaired, "
+              f"no '{args.on}' partner:", file=sys.stderr)
+        for name in unpaired:
+            print(f"  {name}", file=sys.stderr)
+        return 1
     if not pairs:
         print(f"check_bench_regression: no '{args.off}'/'{args.on}' pairs "
               "in results", file=sys.stderr)
@@ -189,23 +109,6 @@ def cmd_overhead(args):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="compare results to a baseline")
-    p_check.add_argument("baseline")
-    p_check.add_argument("results", nargs="+")
-    p_check.add_argument("--max-ratio", type=float, default=2.0,
-                         help="fail when current/baseline exceeds this "
-                         "(default: 2.0)")
-    p_check.add_argument("--only", action="append", default=[],
-                         metavar="PREFIX",
-                         help="restrict the comparison to baseline "
-                         "benchmarks starting with PREFIX (repeatable)")
-    p_check.set_defaults(func=cmd_check)
-
-    p_base = sub.add_parser("baseline", help="write a merged baseline file")
-    p_base.add_argument("out")
-    p_base.add_argument("results", nargs="+")
-    p_base.set_defaults(func=cmd_baseline)
 
     p_over = sub.add_parser(
         "overhead", help="compare instrumented/uninstrumented pairs")

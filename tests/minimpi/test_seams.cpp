@@ -1,20 +1,30 @@
 // The instrumentation seams and the job clock: the events a mailbox reports
 // to its observer, in order and with their lock context; how the seams are
-// wired; and the one time axis the tracer and the metrics registry share.
+// wired; the one time axis the tracer and the metrics registry share; and
+// the compile-time seam of the mph::atomic shim.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/minimpi/comm.hpp"
 #include "src/minimpi/launcher.hpp"
 #include "src/minimpi/mailbox.hpp"
+#include "src/minimpi/racer/atomic.hpp"
 
 using namespace minimpi;
+
+// Outside MPH_RACER builds the shim is std::atomic itself, so the lock-free
+// words of the normal library cost exactly what std::atomic costs.  This
+// stops compiling if MPH_RACER ever reaches a target that links minimpi.
+static_assert(std::is_same_v<mph::atomic<std::uint64_t>, std::atomic_uint64_t>);
+static_assert(std::is_same_v<mph::atomic_flag, std::atomic_flag>);
 
 namespace {
 
