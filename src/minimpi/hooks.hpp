@@ -103,9 +103,11 @@ class Observer {
                               std::uint64_t /*t1_ns*/) {}
   /// A posted receive's request was waited, tested complete or cancelled.
   virtual void request_consumed(rank_t /*owner*/) {}
-  /// A wait's predicate failed: the owner is blocked, and has examined
-  /// every delivery so far.  Repeated, with the same `wait`, after every
-  /// wakeup that still matches nothing.
+  /// A wait's predicate failed: the owner is waiting, and has examined
+  /// every delivery so far.  Called at the wait's first failed check, which
+  /// stamps `wait.t0_ns`, and again, with the same `wait`, before each park
+  /// on the condition variable; not per yield round.  Between the two the
+  /// owner may still be running (yielding) while registered.
   virtual void wait_blocked(rank_t /*owner*/, const BlockedWait& /*wait*/) {}
   /// The blocked wait ended at `t1_ns` (matched, aborted or timed out).
   virtual void wait_unblocked(rank_t /*owner*/, const BlockedWait& /*wait*/,

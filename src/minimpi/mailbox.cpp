@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <cstring>
+#include <thread>
 
 namespace minimpi {
 
 namespace {
+
+/// Failed match checks a wait spends yielding (unlock, yield, re-lock)
+/// before it parks on the condition variable.  Hand-offs that complete
+/// within the budget skip the futex sleep and wake-up; a wait that outlasts
+/// it parks as before.  Measured with one rank per CPU and with up to 32
+/// ranks per CPU (DESIGN.md §9, "Wake-up").
+constexpr int kYieldRounds = 50;
 
 std::string pattern_string(context_t ctx, rank_t source, tag_t tag) {
   std::string out = "(context=" + std::to_string(ctx) + ", source=";
@@ -53,10 +61,12 @@ void Mailbox::wait_locked(std::unique_lock<std::mutex>& lock, Deadline deadline,
                           rank_t source, tag_t tag) {
   // While blocked, this rank is registered with the observers (the
   // checker's wait-for edge, the scheduler's blocked state, the blocked
-  // span and blocked-time gauge) after every failed predicate check — under
+  // span and blocked-time gauge): at the first failed predicate check, which
+  // starts the wait, and again before every park on `cv_` — each time under
   // `mutex_`, the same mutex deliver() reports deliveries under, so
   // "seen == epoch" proves the waiter examined every delivery and matched
-  // nothing.
+  // nothing.  The yield rounds in between release the mutex, so the park
+  // re-registers to cover deliveries that landed during them.
   struct BlockedScope {
     Observer* observer;
     rank_t owner;
@@ -82,9 +92,21 @@ void Mailbox::wait_locked(std::unique_lock<std::mutex>& lock, Deadline deadline,
   } scope{observer_, owner_rank_, clock_,
           BlockedWait{source, operation, operation, ctx, tag, 0}};
 
+  // Yield before parking, except under verification: there the verify
+  // scheduler owns blocking (its run state follows wait_blocked), so a rank
+  // parks at its first failed check exactly as the schedules assume.
+  int yields = 0;
   while (!pred()) {
     check_abort_locked();
-    scope.blocked();
+    const bool yielding = !verify_ && yields < kYieldRounds;
+    if (yields == 0 || !yielding) scope.blocked();
+    if (yielding) {
+      ++yields;
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+      continue;
+    }
     if (deadline == Deadline::max()) {
       cv_.wait(lock);
     } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {

@@ -219,7 +219,8 @@ class Mailbox {
   /// Caller must hold `mutex_`.
   void check_abort_locked() const;
 
-  /// Waits on the condition variable until `pred` or deadline/abort.
+  /// Waits until `pred` or deadline/abort: a bounded number of yield rounds
+  /// (none under verification), then parks on the condition variable.
   /// Caller must hold `lock`.  Throws on timeout or abort; the timeout
   /// error names the unmatched (context, source, tag) pattern and the
   /// queued-envelope count so deadlocks identify the missing message.

@@ -3,10 +3,14 @@
 // wired; the one time axis the tracer and the metrics registry share; and
 // the compile-time seam of the mph::atomic shim.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -16,7 +20,9 @@
 #include "src/minimpi/comm.hpp"
 #include "src/minimpi/launcher.hpp"
 #include "src/minimpi/mailbox.hpp"
+#include "src/minimpi/metrics.hpp"
 #include "src/minimpi/racer/atomic.hpp"
+#include "src/minimpi/trace.hpp"
 
 using namespace minimpi;
 
@@ -35,7 +41,7 @@ class Recorder final : public Observer {
  public:
   const Mailbox* box = nullptr;
   std::vector<std::string> events;
-  std::atomic<bool> blocked_seen{false};
+  std::atomic<int> blocked_count{0};
 
   void envelope_sent(Envelope& /*env*/, rank_t /*dest*/) override {
     note("sent");
@@ -68,7 +74,7 @@ class Recorder final : public Observer {
   void request_consumed(rank_t /*owner*/) override { note("consumed"); }
   void wait_blocked(rank_t /*owner*/, const BlockedWait& /*wait*/) override {
     note("blocked");
-    blocked_seen = true;
+    blocked_count += 1;
   }
   void wait_unblocked(rank_t /*owner*/, const BlockedWait& /*wait*/,
                       std::uint64_t /*t1_ns*/) override {
@@ -110,6 +116,30 @@ std::span<std::byte> bytes_of(int& value) {
 }
 
 using Events = std::vector<std::string>;
+
+/// Runs `receive` and `send` in two threads pinned to one CPU (the first
+/// this process may use).  A waiting receiver's yield then hands the CPU to
+/// the sender, so a sender that waits for the receiver to start waiting
+/// delivers inside the receiver's yield phase — after its first failed
+/// match check and before it could park.
+void on_one_cpu(const std::function<void()>& receive,
+                const std::function<void()>& send) {
+  std::thread([&] {
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+      int cpu = 0;
+      while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &allowed)) ++cpu;
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+    }
+    std::thread sender(send);  // inherits the one-CPU mask
+    receive();
+    sender.join();
+  }).join();
+}
 
 struct SeamFixture : ::testing::Test {
   SeamFixture() { recorder.box = &box; }
@@ -162,8 +192,16 @@ TEST_F(SeamFixture, IprobeAndTestMissThenHit) {
 
 TEST_F(SeamFixture, BlockedReceiveIsBracketed) {
   std::thread sender([&] {
-    // Send once the receiver is blocked and waiting (mutex released).
-    while (!recorder.blocked_seen || box.busy()) std::this_thread::yield();
+    // Send once the receiver is parked: the wait registers at its first
+    // failed check and again right before the park, and the mutex is free
+    // after the second registration only while the receiver sleeps.  (The
+    // time limit turns a missing registration into a failure, not a hang.)
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((recorder.blocked_count < 2 || box.busy()) &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
     box.deliver(envelope(1, 5, 42));
   });
   int got = 0;
@@ -171,9 +209,59 @@ TEST_F(SeamFixture, BlockedReceiveIsBracketed) {
   sender.join();
   EXPECT_EQ(got, 42);
   EXPECT_EQ(recorder.events,
+            (Events{"blocked*", "blocked*", "sent", "delivered*", "depth=1*",
+                    "unblocked*", "matched*", "depth=0*",
+                    "completed(recv)*"}));
+}
+
+TEST_F(SeamFixture, DeliveryBeforeTheParkIsBracketedOnce) {
+  int got = 0;
+  on_one_cpu(
+      [&] { box.recv(kWorldContext, 1, 5, bytes_of(got), Deadline::max()); },
+      [&] {
+        while (recorder.blocked_count < 1) std::this_thread::yield();
+        box.deliver(envelope(1, 5, 42));
+      });
+  EXPECT_EQ(got, 42);
+  // One registration (the first failed check; no park followed) and one
+  // unregistration, with the delivery in between.
+  EXPECT_EQ(recorder.events,
             (Events{"blocked*", "sent", "delivered*", "depth=1*",
                     "unblocked*", "matched*", "depth=0*",
                     "completed(recv)*"}));
+}
+
+TEST(Seams, ReceiveSatisfiedWhileYieldingIsStillABlockedWait) {
+  // The wait starts at the first failed match check, not at the park: time
+  // spent yielding counts as blocked time and as the tracer's blocked span.
+  JobClock clock;
+  MetricsRegistry metrics(1, clock);
+  Tracer tracer(1, TraceOptions::parse("1"), clock);
+  std::unique_ptr<Observer> fan_out;
+  Observer* observer = wire_observers({&metrics, &tracer}, fan_out);
+  mph::atomic<bool> abort_flag{false};
+  std::string abort_reason;
+  Mailbox box{abort_flag, abort_reason, 0, observer, nullptr, clock};
+  int got = 0;
+  on_one_cpu(
+      [&] {
+        box.recv(kWorldContext, any_source, 5, bytes_of(got), Deadline::max());
+      },
+      [&] {
+        // Triggered by the receive's entry, not by any observer event.  The
+        // count rises before the receive's first match check, so yield once
+        // more: that hands the CPU back to a receiver preempted in between.
+        while (box.wildcard_recvs() == 0) std::this_thread::yield();
+        std::this_thread::yield();
+        box.deliver(envelope(1, 5, 42));
+      });
+  ASSERT_EQ(got, 42);
+  EXPECT_GT(metrics.read_rank(0).blocked_ns, 0u);
+  int blocked_spans = 0;
+  for (const TraceEvent& e : tracer.ring(0).snapshot().events) {
+    if (e.op == TraceOp::blocked && e.span) ++blocked_spans;
+  }
+  EXPECT_EQ(blocked_spans, 1);
 }
 
 TEST(Seams, InterposerDropHappensAfterTheObserversSawTheSend) {
