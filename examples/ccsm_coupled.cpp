@@ -12,11 +12,11 @@
 //        logs/coupler.log plus logs/mph_combined.log for non-root ranks.
 // Trace: logs/ccsm_trace.json — an mph_trace timeline with one named track
 //        per component rank (load it in Perfetto / chrome://tracing, or
-//        summarize with `mph_inspect trace logs/ccsm_trace.json`).
+//        summarize with `mph trace logs/ccsm_trace.json`).
 // Live:  the mph_mon monitor is on — while the job runs, watch it with
-//        `mph_inspect top logs/mph_monitor.sock`; afterwards the snapshot
+//        `mph top logs/mph_monitor.sock`; afterwards the snapshot
 //        history survives in logs/mph_metrics.jsonl
-//        (`mph_inspect top logs/mph_metrics.jsonl --once`).
+//        (`mph top logs/mph_metrics.jsonl --once`).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   }
   minimpi::JobOptions options;
   options.trace.enabled = true;  // MINIMPI_TRACE=capacity=N sets the rings
-  options.monitor.enabled = true;  // live view: mph_inspect top logs/...
+  options.monitor.enabled = true;  // live view: mph top logs/...
   options.monitor.interval = std::chrono::milliseconds(100);
   const minimpi::JobReport report = minimpi::run_mpmd(
       {
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     }
 
     // Causal bottleneck summary: who owns the critical path, and how much
-    // of the wall the accounting covers.  `mph_prof report logs/
+    // of the wall the accounting covers.  `mph report logs/
     // ccsm_trace.json` prints the full breakdown + what-ifs.
     const minimpi::prof::Profile profile =
         minimpi::prof::Graph::build(*report.trace).profile();
@@ -145,12 +145,12 @@ int main(int argc, char** argv) {
       std::printf("  blame #%zu: %-12s %.1f%%\n", i + 1,
                   blame[i].component.c_str(), 100.0 * blame[i].share);
     }
-    std::printf("full report: mph_prof report %s\n", trace_path.c_str());
+    std::printf("full report: mph report %s\n", trace_path.c_str());
   }
   if (report.metrics.has_value()) {
     std::printf(
         "metrics history in logs/mph_metrics.jsonl "
-        "(view: mph_inspect top logs/mph_metrics.jsonl --once)\n");
+        "(view: mph top logs/mph_metrics.jsonl --once)\n");
   }
   std::printf("ccsm_coupled: OK (%d coupling intervals)\n", intervals);
   return 0;

@@ -20,6 +20,7 @@
 // which the job's receive timeout converts into an error.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -59,6 +60,25 @@ struct CollectiveScope {
     comm.check_collective(name, root, count, elem_size);
   }
 };
+
+/// The ring both allgathers run: place this rank's `mine` in its block,
+/// then n-1 steps in which each rank sends the block it got last to its
+/// successor and receives its predecessor's.  `block(b)` is rank b's part
+/// of the result.
+template <Transferable T, class BlockOf>
+void ring_allgather(const Comm& comm, tag_t tag, std::span<const T> mine,
+                    BlockOf block) {
+  const int n = comm.size();
+  const int r = comm.rank();
+  std::copy(mine.begin(), mine.end(), block(r).begin());
+  const rank_t to = (r + 1) % n;
+  const rank_t from = (r - 1 + n) % n;
+  for (int step = 0; step < n - 1; ++step) {
+    comm.sendrecv_raw(std::as_bytes(block((r - step + n) % n)), to, tag,
+                      std::as_writable_bytes(block((r - step - 1 + n) % n)),
+                      from, tag);
+  }
+}
 }  // namespace detail
 
 /// Synchronize all members (dissemination barrier).
@@ -285,25 +305,12 @@ std::vector<T> allgather(const Comm& comm, std::span<const T> values) {
   const detail::CollectiveScope scope(comm, "allgather", -1, values.size(),
                                       sizeof(T));
   const tag_t tag = comm.next_collective_tag();
-  const int n = comm.size();
-  const int r = comm.rank();
   const std::size_t block = values.size();
-  std::vector<T> result(block * static_cast<std::size_t>(n));
-  std::copy(values.begin(), values.end(),
-            result.begin() + static_cast<std::ptrdiff_t>(
-                                 static_cast<std::size_t>(r) * block));
-  const rank_t to = (r + 1) % n;
-  const rank_t from = (r - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_block = (r - step + n) % n;
-    const int recv_block = (r - step - 1 + n) % n;
-    std::span<const T> out(
-        result.data() + static_cast<std::size_t>(send_block) * block, block);
-    std::span<T> in(result.data() + static_cast<std::size_t>(recv_block) * block,
-                    block);
-    comm.sendrecv_raw(std::as_bytes(out), to, tag, std::as_writable_bytes(in),
-                      from, tag);
-  }
+  std::vector<T> result(block * static_cast<std::size_t>(comm.size()));
+  detail::ring_allgather(comm, tag, values, [&](int b) {
+    return std::span<T>(result.data() + static_cast<std::size_t>(b) * block,
+                        block);
+  });
   return result;
 }
 
@@ -326,7 +333,6 @@ std::vector<T> allgatherv(const Comm& comm, std::span<const T> values,
   const detail::CollectiveScope scope(comm, "allgatherv", -1,
                                       Checker::kUncheckedCount, sizeof(T));
   const tag_t tag = comm.next_collective_tag();
-  const int r = comm.rank();
   std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
   for (int i = 0; i < n; ++i) {
     offsets[static_cast<std::size_t>(i) + 1] =
@@ -334,23 +340,11 @@ std::vector<T> allgatherv(const Comm& comm, std::span<const T> values,
         static_cast<std::size_t>(counts[static_cast<std::size_t>(i)]);
   }
   std::vector<T> result(offsets.back());
-  std::copy(values.begin(), values.end(),
-            result.begin() +
-                static_cast<std::ptrdiff_t>(offsets[static_cast<std::size_t>(r)]));
-  const rank_t to = (r + 1) % n;
-  const rank_t from = (r - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_block = (r - step + n) % n;
-    const int recv_block = (r - step - 1 + n) % n;
-    std::span<const T> out(
-        result.data() + offsets[static_cast<std::size_t>(send_block)],
-        static_cast<std::size_t>(counts[static_cast<std::size_t>(send_block)]));
-    std::span<T> in(
-        result.data() + offsets[static_cast<std::size_t>(recv_block)],
-        static_cast<std::size_t>(counts[static_cast<std::size_t>(recv_block)]));
-    comm.sendrecv_raw(std::as_bytes(out), to, tag, std::as_writable_bytes(in),
-                      from, tag);
-  }
+  detail::ring_allgather(comm, tag, values, [&](int b) {
+    const auto i = static_cast<std::size_t>(b);
+    return std::span<T>(result.data() + offsets[i],
+                        static_cast<std::size_t>(counts[i]));
+  });
   if (counts_out != nullptr) {
     counts_out->assign(counts.begin(), counts.end());
   }

@@ -227,7 +227,7 @@ class Graph {
 [[nodiscard]] WhatIf what_if_rank(const Graph& graph, const Profile& profile,
                                   rank_t rank, double speedup_fraction);
 
-/// Human-readable bottleneck report (what `mph_prof report` prints):
+/// Human-readable bottleneck report (what `mph report` prints):
 /// critical-path total vs wall, blame by kind and by component, the top-N
 /// longest segments, per-rank slack, any what-ifs, and — when events were
 /// dropped — the explicit "N flow edges unresolved (ring dropped M
@@ -236,8 +236,8 @@ class Graph {
                                         std::span<const WhatIf> what_ifs = {},
                                         std::size_t top_segments = 5);
 
-/// Just the top-N critical-path segments table (for `mph_inspect trace
-/// --critical`).
+/// Just the top-N critical-path segments table (the segments section of
+/// render_report).
 [[nodiscard]] std::string render_top_segments(const Profile& profile,
                                               std::size_t top_segments = 5);
 

@@ -16,7 +16,7 @@
 // instrumented shim falls back to a real std::atomic, so racer-compiled
 // code still runs normally.
 //
-// The static lint (`mph_inspect lint`) enforces that src/minimpi declares
+// The static lint (`mph lint`) enforces that src/minimpi declares
 // no raw std::atomic outside this header — the shim is only a model-checking
 // seam if the lock-free layer actually goes through it.
 #pragma once

@@ -389,7 +389,7 @@ std::string TraceReport::to_chrome_json() const {
   }
   out += "\n],\n\"displayTimeUnit\": \"ms\",\n";
 
-  // Metrics rollup: ignored by trace viewers, read by `mph_inspect trace`.
+  // Metrics rollup: ignored by trace viewers, read by `mph trace`.
   out += "\"mph\": {\n";
   out += "\"wildcardRecvs\": " + std::to_string(comm.wildcard_recvs) + ",\n";
   out += "\"contexts\": [";

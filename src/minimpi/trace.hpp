@@ -381,7 +381,7 @@ struct TraceReport {
   /// Chrome trace-event JSON: loads in Perfetto / chrome://tracing (one
   /// named track per rank); the metrics rollup is embedded under the
   /// top-level "mph" key, which trace viewers ignore and
-  /// `mph_inspect trace` reads back.
+  /// `mph trace` reads back.
   [[nodiscard]] std::string to_chrome_json() const;
 };
 

@@ -4,7 +4,7 @@
 // ordered list of wildcard match decisions it made: step k of the trace
 // says "rank R's wildcard receive/probe (context, tag) matched sender S,
 // chosen from this candidate set".  Dumping a failing run's trace and
-// replaying it later (mph_verify --schedule trace.json) reproduces the
+// replaying it later (mph verify --schedule trace.json) reproduces the
 // exact same matching, because wildcard choices are the *only*
 // nondeterminism minimpi jobs have under a verifying scheduler: exact-
 // source receives are deterministic (each sender is one thread delivering

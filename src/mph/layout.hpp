@@ -5,7 +5,7 @@
 // The same code serves three callers:
 //   * handshake() — after allgathering live signatures (the real setup);
 //   * plan_layout() — a dry run over a *planned* job description, letting
-//     deployment scripts and the `mph_inspect` tool validate a
+//     deployment scripts and `mph plan` validate a
 //     registration file against a command file before burning a batch-queue
 //     slot;
 //   * property tests — which assert that the in-job handshake and the dry

@@ -6,7 +6,7 @@
 // decode one JSONL line back into a MetricsSnapshot, fetch the latest
 // line from a file or the monitor's AF_UNIX socket, and turn a pair of
 // consecutive snapshots into per-component rates ("ocean: 1.2k msg/s,
-// 40% blocked").  `mph_inspect top` is a thin loop over these functions;
+// 40% blocked").  `mph top` is a thin loop over these functions;
 // keeping them here makes the whole view pipeline unit-testable without
 // spawning the CLI.
 #pragma once
@@ -30,7 +30,7 @@ namespace mph::mon {
 
 /// True when `text` looks like an mph_metrics document or JSONL stream
 /// (cheap check: first line is an object whose "kind" is "mph_metrics").
-/// Used by mph_inspect to tell a metrics file from a Chrome trace export.
+/// Used by `mph trace` to tell a metrics file from a Chrome trace export.
 [[nodiscard]] bool looks_like_metrics(const std::string& text);
 
 /// Last non-empty line of a (JSONL) file; nullopt when the file does not
@@ -110,11 +110,11 @@ struct TopView {
                                      const minimpi::MetricsSnapshot& cur);
 
 /// Render the view as a fixed-width ASCII table (trailing newline
-/// included) — what `mph_inspect top` prints every refresh.
+/// included) — what `mph top` prints every refresh.
 [[nodiscard]] std::string render_top(const TopView& view);
 
 // ---------------------------------------------------------------------------
-// mph_inspect watch — the cross-job aggregator (farm pre-work): merge the
+// mph watch — the cross-job aggregator (farm pre-work): merge the
 // metrics and health streams of several jobs into one console.
 // ---------------------------------------------------------------------------
 
@@ -143,7 +143,7 @@ struct WatchView {
                                          std::size_t max_recent = 8);
 
 /// Render the merged view (one summary line + active alerts per job, then
-/// the recent-event ribbon) — what `mph_inspect watch` prints.
+/// the recent-event ribbon) — what `mph watch` prints.
 [[nodiscard]] std::string render_watch(const WatchView& view);
 
 }  // namespace mph::mon

@@ -72,7 +72,7 @@ struct ProtoReport {
 
 /// The happens-before graph for the first choice assignment, as Graphviz
 /// DOT (program-order edges solid, match edges dashed, collective slots as
-/// shared boxes) — `mph_proto check --dump-graph`.
+/// shared boxes) — `mph check --dump-graph`.
 [[nodiscard]] std::string dump_causality_dot(const Contract& contract,
                                              const ProtoCheckOptions& options =
                                                  {});

@@ -3,7 +3,7 @@
 // Input is the Chrome trace-event JSON written by mph_trace / mph_verify
 // --trace (TraceReport::to_chrome_json; schema documented in DESIGN.md
 // §"Trace event schema").  read_trace_ops() loads it with the same reader
-// mph_prof and `mph_inspect trace` use (minimpi::prof::load_chrome_trace)
+// mph_prof and `mph trace` use (minimpi::prof::load_chrome_trace)
 // and reduces it to the protocol-level op stream per rank:
 //
 //   * track names ("component:local" thread_name metadata) recover the

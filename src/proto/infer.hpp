@@ -1,6 +1,6 @@
 // infer.hpp — propose a contract from a recorded trace.
 //
-// `mph_proto infer <trace>` bootstraps contract adoption for an existing
+// `mph infer <trace>` bootstraps contract adoption for an existing
 // job: read one representative trace, reconstruct per-rank protocol op
 // streams (conform.hpp's reader), and emit contract text that
 // conform-checks against the very trace it came from.  Three

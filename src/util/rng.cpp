@@ -23,7 +23,7 @@ std::uint64_t fresh_entropy_seed() {
     throw std::runtime_error(
         "fresh_entropy_seed: unseeded entropy requested while schedule "
         "verification is active; route randomness through the job seed "
-        "(JobOptions::seed / mph_verify --seed) instead");
+        "(JobOptions::seed / mph verify --seed) instead");
   }
   std::random_device device;
   return (static_cast<std::uint64_t>(device()) << 32) ^ device();

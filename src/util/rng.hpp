@@ -94,7 +94,7 @@ class Rng {
 // All nondeterminism in a job is supposed to flow from one seed (JobOptions::
 // seed) so that verification runs replay byte-identically.  Code that wants a
 // fresh, non-reproducible seed must draw it through fresh_entropy_seed();
-// while the guard is armed (mph_verify arms it for the whole exploration)
+// while the guard is armed (`mph verify` arms it for the whole exploration)
 // that call throws instead of silently breaking replay determinism.
 
 /// Arm or disarm the process-wide fresh-entropy ban.

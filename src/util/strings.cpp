@@ -159,6 +159,12 @@ std::optional<std::string> read_file(const std::string& path) {
   return std::move(text).str();
 }
 
+void write_file(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!out.flush()) throw std::runtime_error("cannot write '" + path + "'");
+}
+
 bool valid_component_name(std::string_view s) noexcept {
   if (s.empty()) return false;
   for (char c : s) {

@@ -93,6 +93,11 @@ template <class Options>
 /// opened.  Callers turn nullopt into their own error type.
 [[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
+/// Replace the file at `path` with `text`.  Throws std::runtime_error
+/// "cannot write '<path>'" when the open or the final flush fails, so a
+/// full disk (or /dev/full) is an error, not a silently empty file.
+void write_file(const std::string& path, std::string_view text);
+
 /// A valid component name-tag: nonempty, no whitespace, none of the
 /// structural registry keywords, and not itself a key=value token.
 [[nodiscard]] bool valid_component_name(std::string_view s) noexcept;

@@ -174,7 +174,7 @@ TEST(MetricsPublish, SocketServesLiveSnapshots) {
                   chatter(h);
                   if (h.local_proc_id() != 0) return;
                   // Poll the monitor's socket from inside the running job —
-                  // exactly what an operator's `mph_inspect top` does.
+                  // exactly what an operator's `mph top` does.
                   for (int attempt = 0; attempt < 400; ++attempt) {
                     if (const auto line = mon::read_socket_line(socket_path)) {
                       const std::lock_guard<std::mutex> lock(mutex);

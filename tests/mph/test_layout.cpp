@@ -1,5 +1,5 @@
 // The layout module: dry-run planning (plan_layout) and its equivalence
-// with the live handshake — the invariant that makes `mph_inspect plan`
+// with the live handshake — the invariant that makes `mph plan`
 // trustworthy.
 #include "src/mph/layout.hpp"
 

@@ -229,7 +229,7 @@ TEST(ProfJobs, ExportLoadRoundTripOnARealJob) {
   EXPECT_EQ(reloaded.path.size(), direct.path.size());
   EXPECT_EQ(reloaded.unresolved_flows, direct.unresolved_flows);
 
-  // The rollup `mph_inspect trace` renders from the loaded report equals
+  // The rollup `mph trace` renders from the loaded report equals
   // the one the writer computed from the live report.
   const auto traffic = [](const TraceReport& r) {
     std::vector<std::tuple<std::string, std::string, std::uint64_t,

@@ -2,7 +2,7 @@
 // per-context message counts + wildcard receives (also surfaced through
 // CommStats), the blocked-time breakdown, per-channel output-line
 // counters, queue-depth high water, and the Chrome trace-event JSON that
-// Perfetto and `mph_inspect trace` consume.
+// Perfetto and `mph trace` consume.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -272,7 +272,7 @@ TEST(TraceReport, ChromeJsonIsParsableAndCarriesTracks) {
   EXPECT_EQ(named_tracks, expected);
   EXPECT_GT(span_events, 0u);
 
-  // The mph metrics rollup rides along for mph_inspect.
+  // The mph metrics rollup rides along for `mph trace`.
   const util::JsonValue& mph_obj = doc.at("mph");
   EXPECT_EQ(mph_obj.at("ranks").items().size(), 3u);
   const util::JsonValue& traffic = mph_obj.at("componentTraffic");

@@ -1,5 +1,5 @@
 // JSON parser unit tests, including the line:column diagnostics contract
-// that `mph_proto conform` / `mph_inspect trace` error messages rely on.
+// that `mph conform` / `mph trace` error messages rely on.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -145,6 +145,23 @@ TEST(ReadFile, WholeContentsOrNothing) {
   EXPECT_FALSE(u::read_file(path).has_value());
 }
 
+TEST(WriteFile, RoundTripsAndFailsLoudly) {
+  const std::string path = ::testing::TempDir() + "mph_write_file_" +
+                           std::to_string(::getpid()) + ".txt";
+  u::write_file(path, std::string("a\0b\r\nc", 6));
+  EXPECT_EQ(u::read_file(path), std::string("a\0b\r\nc", 6));
+  std::remove(path.c_str());
+  // The open succeeds and the flush fails: a full disk must not pass.
+  try {
+    u::write_file("/dev/full", "text");
+    ADD_FAILURE() << "writing /dev/full did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cannot write '/dev/full'");
+  }
+  EXPECT_THROW(u::write_file(::testing::TempDir() + "no/such/dir/x", "x"),
+               std::runtime_error);
+}
+
 TEST(ParseDouble, ValidValues) {
   EXPECT_DOUBLE_EQ(u::parse_double("4.5").value(), 4.5);
   EXPECT_DOUBLE_EQ(u::parse_double("-0.25").value(), -0.25);

@@ -1,6 +1,6 @@
 // test_watch_viewer.cpp — the consumer half of mph_watch: health-event
 // JSONL round trips, the rotation/truncation tolerance contract of the
-// file readers, alert replay, and the merged `mph_inspect watch` view.
+// file readers, alert replay, and the merged `mph watch` view.
 // Everything here runs without launching a job or spawning the CLI.
 #include "src/mph/monitor.hpp"
 

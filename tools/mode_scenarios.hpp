@@ -1,6 +1,7 @@
 // mode_scenarios.hpp — the five MPH execution-mode scenarios (paper §2),
-// shared by the tools that need runnable mode bodies: mph_verify explores
-// their schedule space, mph_proto records conformance traces from them.
+// shared by the `mph` verbs that need runnable mode bodies: `mph verify`
+// explores their schedule space, `mph record` records conformance traces
+// from them.
 //
 // Each scenario is a post-handshake wildcard-receive workload: model ranks
 // report their world rank to a collector, which sums ANY_SOURCE receives.

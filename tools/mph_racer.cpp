@@ -39,7 +39,6 @@
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -107,12 +106,6 @@ std::pair<std::string, std::vector<Decision>> load_schedule(
   return {doc.at("litmus").as_string(), std::move(schedule)};
 }
 
-void dump_trace(const std::string& path, const RacerReport& report) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write trace file: " + path);
-  out << minimpi::racer::trace_to_json(report);
-}
-
 int list_cases() {
   for (const LitmusCase& c : minimpi::racer::litmus_cases()) {
     std::printf("%-26s %s%s\n    bounds: max-execs %llu, preemptions %d\n",
@@ -145,7 +138,8 @@ bool run_one(const LitmusCase& c, const Args& args, bool* trace_dumped) {
     ok = true;
   }
   if (report.failed && !args.dump_trace.empty() && !*trace_dumped) {
-    dump_trace(args.dump_trace, report);
+    mph::util::write_file(args.dump_trace,
+                          minimpi::racer::trace_to_json(report));
     std::printf("  counterexample trace written to %s\n",
                 args.dump_trace.c_str());
     *trace_dumped = true;
