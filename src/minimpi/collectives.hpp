@@ -227,8 +227,9 @@ std::vector<T> gather(const Comm& comm, std::span<const T> values,
   }
   std::vector<T> result(values.size() * static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    std::span<T> slot(result.data() + static_cast<std::size_t>(r) * values.size(),
-                      values.size());
+    std::span<T> slot(
+        result.data() + static_cast<std::size_t>(r) * values.size(),
+        values.size());
     if (r == root) {
       std::copy(values.begin(), values.end(), slot.begin());
     } else {
@@ -257,7 +258,9 @@ std::vector<T> gatherv(const Comm& comm, std::span<const T> values,
   for (int r = 0; r < n; ++r) {
     if (r == root) {
       result.insert(result.end(), values.begin(), values.end());
-      if (counts != nullptr) (*counts)[static_cast<std::size_t>(r)] = values.size();
+      if (counts != nullptr) {
+        (*counts)[static_cast<std::size_t>(r)] = values.size();
+      }
     } else {
       auto [status, bytes] = comm.recv_take_raw(r, tag);
       (void)status;
@@ -285,8 +288,8 @@ std::vector<T> scatter(const Comm& comm, std::span<const T> values,
                   "scatter: send buffer smaller than block*size");
     }
     for (int r = 0; r < n; ++r) {
-      std::span<const T> slot(values.data() + static_cast<std::size_t>(r) * block,
-                              block);
+      std::span<const T> slot(
+          values.data() + static_cast<std::size_t>(r) * block, block);
       if (r == root) {
         std::copy(slot.begin(), slot.end(), mine.begin());
       } else {

@@ -285,8 +285,8 @@ void Comm::send_raw(std::span<const std::byte> bytes, rank_t dest, tag_t tag,
   env.src = st.my_world();
   env.tag = tag;
   env.sig = sig;
-  env.payload.assign(bytes.begin(), bytes.end());
-  st.job->count_message(env.payload.size());
+  env.payload = bytes;  // borrowed until deliver() returns
+  st.job->count_message(bytes.size());
   st.job->mailbox(dest_global).deliver(std::move(env));
   fault_point(KillPoint::after_send);
 }
@@ -315,8 +315,9 @@ std::pair<Status, std::vector<std::byte>> Comm::recv_take_raw(
 
 Request Comm::isend_raw(std::span<const std::byte> bytes, rank_t dest,
                         tag_t tag, TypeSig sig) const {
-  // Eager protocol: the payload is buffered at initiation, so the send is
-  // already complete from the sender's perspective (cf. MPI_Ibsend).
+  // Eager protocol: the payload is copied at initiation (into a waiting
+  // receive or the queue), so the send is already complete from the
+  // sender's perspective (cf. MPI_Ibsend).
   send_raw(bytes, dest, tag, sig);
   Request r;
   r.immediate_done_ = true;

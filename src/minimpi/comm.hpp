@@ -202,8 +202,8 @@ class Comm {
   template <Transferable T>
   Status sendrecv_replace(std::span<T> values, rank_t dest, tag_t send_tag,
                           rank_t source, tag_t recv_tag) const {
-    // The eager send buffers the payload at initiation, so sending first
-    // and receiving into the same storage is safe.
+    // The eager send copies the payload out at initiation, so sending
+    // first and receiving into the same storage is safe.
     check_user_tag(send_tag);
     check_user_tag_or_any(recv_tag);
     send_raw(std::as_bytes(values), dest, send_tag, type_sig<T>());

@@ -162,7 +162,7 @@ bool FaultInjector::admit(Envelope& env, rank_t dest_world) {
         }
         case FaultRule::Action::truncate:
           if (env.payload.size() > rule.truncate_to) {
-            env.payload.resize(rule.truncate_to);
+            env.payload = env.payload.first(rule.truncate_to);
           }
           name = "truncate";
           detail = rule.truncate_to;

@@ -97,7 +97,8 @@ struct EnvelopeMatch {
   rank_t dest = any_source;  ///< receiver's world rank
   tag_t tag = any_tag;
 
-  [[nodiscard]] bool matches(const Envelope& e, rank_t dest_rank) const noexcept {
+  [[nodiscard]] bool matches(const Envelope& e,
+                             rank_t dest_rank) const noexcept {
     return (context == any_context || context == e.context) &&
            (src == any_source || src == e.src) &&
            (dest == any_source || dest == dest_rank) &&
@@ -201,8 +202,9 @@ class FaultInjector final : public Interposer {
 
   /// Envelope rules, run by Mailbox::deliver in the *sender's* thread
   /// before the destination mailbox is locked: returns false when a drop
-  /// rule fired.  May sleep (delay rules) and may shrink `env.payload`
-  /// (truncate rules).
+  /// rule fired.  May sleep (delay rules) and may shrink the `env.payload`
+  /// view (truncate rules; the sender's bytes are never written, and only
+  /// the shortened view is copied).
   bool admit(Envelope& env, rank_t dest_world) override;
 
   /// Everything that fired so far.

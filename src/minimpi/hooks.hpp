@@ -77,11 +77,15 @@ class Observer {
 
   /// Sender's thread, no lock, before any interposer; may stamp env.flow.
   virtual void envelope_sent(Envelope& /*env*/, rank_t /*dest*/) {}
-  /// An envelope the interposer let through reached `owner`'s mailbox.
+  /// An envelope the interposer let through reached its final place in
+  /// `owner`'s mailbox: a completed receive or the queue.
   virtual void envelope_delivered(rank_t /*owner*/, const Envelope& /*env*/) {}
   /// A receive matched `env`: `capacity` is its buffer size (the payload
   /// size when it takes ownership), `posted` tells a posted receive from a
   /// blocking one.  Returns the error the receive fails with, or null.
+  /// Runs on the sender's thread when the receive was already waiting —
+  /// a blocking one too — and then precedes envelope_delivered, which
+  /// follows the copy into the receive's buffer.
   virtual std::exception_ptr envelope_matched(rank_t /*owner*/,
                                               const Envelope& /*env*/,
                                               const TypeSig& /*expected*/,
@@ -138,7 +142,7 @@ class Interposer {
   /// scheduler).  Mailboxes consult this once at construction.
   [[nodiscard]] virtual bool verifying() const noexcept { return false; }
   /// Sender's thread, no lock, after the observers saw the send: returns
-  /// false to drop; may sleep, shrink the payload, or stamp env.vc.
+  /// false to drop; may sleep, shrink the payload view, or stamp env.vc.
   virtual bool admit(Envelope& /*env*/, rank_t /*dest*/) { return true; }
   /// Verifying only, no lock: hold `owner`'s ANY_SOURCE receive/probe
   /// until the engine picks the sender it must match; returns that rank.

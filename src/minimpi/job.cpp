@@ -330,8 +330,8 @@ void Job::control_send(rank_t src_world, rank_t dest_world, tag_t control_tag,
   Envelope env;  // world context
   env.src = src_world;
   env.tag = control_tag;
-  env.payload.assign(bytes.begin(), bytes.end());
-  count_message(env.payload.size());
+  env.payload = bytes;  // borrowed until deliver() returns
+  count_message(bytes.size());
   mailbox(dest_world).deliver(std::move(env));
 }
 

@@ -58,7 +58,7 @@ void Mailbox::check_abort_locked() const {
 template <class Pred>
 void Mailbox::wait_locked(std::unique_lock<std::mutex>& lock, Deadline deadline,
                           Pred pred, const char* operation, context_t ctx,
-                          rank_t source, tag_t tag) {
+                          rank_t source, tag_t tag, const RecvTicket* ticket) {
   // While blocked, this rank is registered with the observers (the
   // checker's wait-for edge, the scheduler's blocked state, the blocked
   // span and blocked-time gauge): at the first failed predicate check, which
@@ -94,17 +94,24 @@ void Mailbox::wait_locked(std::unique_lock<std::mutex>& lock, Deadline deadline,
 
   // Yield before parking, except under verification: there the verify
   // scheduler owns blocking (its run state follows wait_blocked), so a rank
-  // parks at its first failed check exactly as the schedules assume.
+  // parks at its first failed check exactly as the schedules assume.  A
+  // receive a sender is copying into keeps yielding until the copy ends:
+  // nothing else has to happen first, and a park would add a wake-up.
   int yields = 0;
   while (!pred()) {
     check_abort_locked();
-    const bool yielding = !verify_ && yields < kYieldRounds;
+    const bool copying = ticket != nullptr && ticket->copying;
+    const bool yielding = !verify_ && (yields < kYieldRounds || copying);
     if (yields == 0 || !yielding) scope.blocked();
     if (yielding) {
       ++yields;
       lock.unlock();
       std::this_thread::yield();
-      lock.lock();
+      // Re-take the mutex without sleeping on it: its holder is a sender
+      // finishing a delivery, often this very one, and a futex sleep
+      // would add a wake-up to it (4 KiB bench_p2p round trips took 19 us
+      // instead of 5.5 us).
+      while (!lock.try_lock()) std::this_thread::yield();
       continue;
     }
     if (deadline == Deadline::max()) {
@@ -155,28 +162,64 @@ rank_t Mailbox::resolve_source(context_t ctx, rank_t source, tag_t tag,
   return interposer_->resolve_wildcard(owner_rank_, ctx, tag, operation);
 }
 
-void Mailbox::complete_locked(RecvTicket& ticket, std::span<std::byte> buffer,
-                              const TypeSig& expected, const Envelope& env) {
+bool Mailbox::complete(std::unique_lock<std::mutex>& lock,
+                       const PostedRecv& r, const Envelope& env) {
+  RecvTicket& ticket = *r.ticket;
+  const std::size_t bytes = env.payload.size();
   std::exception_ptr bad =
       observer_ != nullptr
-          ? observer_->envelope_matched(owner_rank_, env, expected,
-                                        buffer.size(), true)
+          ? observer_->envelope_matched(owner_rank_, env, r.expected,
+                                        r.buffer.size(), !r.blocking)
           : nullptr;
   if (bad) {
     ticket.error = std::move(bad);
   } else if (!ticket.detached) {  // a detached receive discards the payload
-    if (env.payload.size() > buffer.size()) {
+    if (bytes > r.buffer.size()) {
       ticket.error = std::make_exception_ptr(truncation_error(
-          "posted receive", buffer.size(), env.payload.size()));
-    } else {
-      if (!env.payload.empty()) {
-        std::memcpy(buffer.data(), env.payload.data(), env.payload.size());
+          r.blocking ? "receive" : "posted receive", r.buffer.size(), bytes));
+      if (r.blocking) {
+        ticket.done = true;
+        return false;  // the envelope stays queued, as for a queued match
       }
-      ticket.status = Status{env.src, env.tag, env.payload.size()};
+    } else {
+      if (bytes > 0) {
+        // Claimed: the copy runs without the mutex, so other senders and
+        // the owner's queue stay available; the ticket is out of posted_,
+        // and whatever ends the buffer's lifetime waits for `copying`.
+        ticket.copying = true;
+        ++copies_in_flight_;
+        lock.unlock();
+        std::memcpy(r.buffer.data(), env.payload.data(), bytes);
+        lock.lock();
+        ticket.copying = false;
+        --copies_in_flight_;
+      }
+      ticket.status = Status{env.src, env.tag, bytes};
     }
   }
   ticket.flow = env.flow;
   ticket.done = true;
+  return true;
+}
+
+void Mailbox::await_copy_locked(std::unique_lock<std::mutex>& lock,
+                                const RecvTicket& ticket) {
+  cv_.wait(lock, [&] { return !ticket.copying; });
+}
+
+void Mailbox::delivered_locked(const Envelope& env) {
+  // Reported under the same mutex the owner's wait predicate runs under,
+  // and only once the envelope is in its final place (a done receive or
+  // the queue): a blocked waiter whose seen-epoch equals the current epoch
+  // has provably examined this (and every earlier) delivery.
+  if (observer_ != nullptr) observer_->envelope_delivered(owner_rank_, env);
+  for (auto& [context, count] : delivered_by_context_) {
+    if (context == env.context) {
+      ++count;
+      return;
+    }
+  }
+  delivered_by_context_.emplace_back(env.context, 1);
 }
 
 void Mailbox::deliver(Envelope&& env) {
@@ -189,30 +232,39 @@ void Mailbox::deliver(Envelope&& env) {
   if (interposer_ != nullptr && !interposer_->admit(env, owner_rank_)) {
     return;  // injected message loss
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    // Reported under the same mutex the owner's wait predicate runs under:
-    // a blocked waiter whose seen-epoch equals the current epoch has
-    // provably examined this (and every earlier) delivery.
-    if (observer_ != nullptr) observer_->envelope_delivered(owner_rank_, env);
-    count_context_locked(env.context);
-    // Try to complete the earliest-posted matching receive.
-    auto it = std::find_if(posted_.begin(), posted_.end(),
-                           [&](const PostedRecv& p) {
-                             return matches(p.context, p.source, p.tag, env);
-                           });
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    // Complete the earliest-posted matching receive (irecvs and waiting
+    // blocking recvs share posted_, so its order is the matching order).
+    const auto it = std::find_if(
+        posted_.begin(), posted_.end(), [&](const PostedRecv& p) {
+          return matches(p.context, p.source, p.tag, env);
+        });
     if (it != posted_.end()) {
-      const PostedRecv p = std::move(*it);
+      const PostedRecv r = std::move(*it);
       posted_.erase(it);
-      complete_locked(*p.ticket, p.buffer, p.expected, env);
-    } else {
+      if (complete(lock, r, env)) {
+        delivered_locked(env);
+        break;
+      }
+      env.own();  // rare: a too-small blocking buffer, queued under the lock
+    }
+    if (env.owned()) {
+      delivered_locked(env);
       queue_.push_back(std::move(env));
       queue_high_water_ = std::max(queue_high_water_, queue_.size());
       if (observer_ != nullptr) {
         observer_->queue_depth_changed(owner_rank_, queue_.size());
       }
+      break;
     }
+    // Unexpected: copy into owned storage without the mutex, then match
+    // again — a receive may have been posted meanwhile.
+    lock.unlock();
+    env.own();
+    lock.lock();
   }
+  lock.unlock();
   cv_.notify_all();
 }
 
@@ -222,37 +274,78 @@ Status Mailbox::receive(context_t ctx, rank_t source, tag_t tag,
                         std::vector<std::byte>* take) {
   const std::uint64_t t0 = observer_ != nullptr ? clock_.now_ns() : 0;
   source = resolve_source(ctx, source, tag, "recv");
+  // A receive into a buffer publishes it in posted_ at its first failed
+  // match, so the sender copies straight into it.  Not recv_take (it has
+  // no buffer), nor under verification, where matching stays on the
+  // receiver's side (DESIGN.md §10).  Publishing allocates nothing: the
+  // ticket lives here, behind a non-owning pointer, and is withdrawn from
+  // posted_ before this returns.
+  const bool publish = take == nullptr && !verify_;
+  RecvTicket ticket;
+  bool published = false;
   std::unique_lock<std::mutex> lock(mutex_);
   std::deque<Envelope>::iterator it;
-  wait_locked(
-      lock, deadline,
-      [&] {
-        it = find_locked(ctx, source, tag);
-        return it != queue_.end();
-      },
-      "recv", ctx, source, tag);
-  const std::size_t capacity =
-      take != nullptr ? it->payload.size() : buffer.size();
-  if (observer_ != nullptr) {
-    if (std::exception_ptr bad = observer_->envelope_matched(
-            owner_rank_, *it, expected, capacity, false)) {
-      queue_.erase(it);
-      std::rethrow_exception(bad);
+  try {
+    wait_locked(
+        lock, deadline,
+        [&] {
+          // Once published, only a sender completes this receive: no
+          // matching envelope can reach the queue ahead of it, and a
+          // claimed one must not be re-published or looked for again.
+          if (published) return ticket.done;
+          it = find_locked(ctx, source, tag);
+          if (it != queue_.end()) return true;
+          if (publish) {
+            posted_.push_back(PostedRecv{
+                ctx, source, tag, buffer,
+                std::shared_ptr<RecvTicket>(std::shared_ptr<void>(), &ticket),
+                expected, true});
+            published = true;
+          }
+          return false;
+        },
+        "recv", ctx, source, tag, &ticket);
+  } catch (...) {
+    if (published) {
+      std::erase_if(posted_, [&](const PostedRecv& p) {
+        return p.ticket.get() == &ticket;
+      });
+      await_copy_locked(lock, ticket);
+    }
+    throw;
+  }
+  Status status;
+  std::uint64_t flow = 0;
+  if (published) {
+    if (ticket.error) std::rethrow_exception(ticket.error);
+    status = ticket.status;
+    flow = ticket.flow;
+  } else {
+    const std::size_t capacity =
+        take != nullptr ? it->payload.size() : buffer.size();
+    if (observer_ != nullptr) {
+      if (std::exception_ptr bad = observer_->envelope_matched(
+              owner_rank_, *it, expected, capacity, false)) {
+        queue_.erase(it);
+        std::rethrow_exception(bad);
+      }
+    }
+    if (it->payload.size() > capacity) {
+      throw truncation_error("receive", capacity, it->payload.size());
+    }
+    status = Status{it->src, it->tag, it->payload.size()};
+    flow = it->flow;
+    if (take != nullptr) {
+      *take = std::move(it->storage);  // queued envelopes are owned
+    } else if (!it->payload.empty()) {
+      std::memcpy(buffer.data(), it->payload.data(), it->payload.size());
+    }
+    queue_.erase(it);
+    if (observer_ != nullptr) {
+      observer_->queue_depth_changed(owner_rank_, queue_.size());
     }
   }
-  if (it->payload.size() > capacity) {
-    throw truncation_error("receive", capacity, it->payload.size());
-  }
-  const Status status{it->src, it->tag, it->payload.size()};
-  const std::uint64_t flow = it->flow;
-  if (take != nullptr) {
-    *take = std::move(it->payload);
-  } else if (!it->payload.empty()) {
-    std::memcpy(buffer.data(), it->payload.data(), it->payload.size());
-  }
-  queue_.erase(it);
   if (observer_ != nullptr) {
-    observer_->queue_depth_changed(owner_rank_, queue_.size());
     observer_->recv_completed(owner_rank_, "recv", status, ctx, flow, t0,
                               clock_.now_ns());
   }
@@ -292,23 +385,23 @@ std::shared_ptr<RecvTicket> Mailbox::post_recv(context_t ctx, rank_t source,
   ticket->context = ctx;
   ticket->source = source;
   ticket->tag = tag;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (observer_ != nullptr) {
-      observer_->recv_posted(owner_rank_, source, ctx, tag, buffer.size());
-    }
-    auto it = find_locked(ctx, source, tag);
-    if (it != queue_.end()) {
-      complete_locked(*ticket, buffer, expected, *it);
-      queue_.erase(it);
-      if (observer_ != nullptr) {
-        observer_->queue_depth_changed(owner_rank_, queue_.size());
-      }
-    } else {
-      posted_.push_back(
-          PostedRecv{ctx, source, tag, buffer, ticket, expected});
-    }
+  PostedRecv r{ctx, source, tag, buffer, ticket, expected};
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (observer_ != nullptr) {
+    observer_->recv_posted(owner_rank_, source, ctx, tag, buffer.size());
   }
+  auto it = find_locked(ctx, source, tag);
+  if (it == queue_.end()) {
+    posted_.push_back(std::move(r));
+    return ticket;
+  }
+  const Envelope env = std::move(*it);
+  queue_.erase(it);
+  if (observer_ != nullptr) {
+    observer_->queue_depth_changed(owner_rank_, queue_.size());
+  }
+  complete(lock, r, env);
+  lock.unlock();  // so `env` frees its storage outside the mutex
   return ticket;
 }
 
@@ -316,9 +409,14 @@ Status Mailbox::wait(const std::shared_ptr<RecvTicket>& ticket,
                      Deadline deadline) {
   const std::uint64_t t0 = observer_ != nullptr ? clock_.now_ns() : 0;
   std::unique_lock<std::mutex> lock(mutex_);
-  wait_locked(
-      lock, deadline, [&] { return ticket->done; }, "wait",
-      ticket->context, ticket->source, ticket->tag);
+  try {
+    wait_locked(
+        lock, deadline, [&] { return ticket->done; }, "wait",
+        ticket->context, ticket->source, ticket->tag, ticket.get());
+  } catch (...) {
+    await_copy_locked(lock, *ticket);  // the unwind may free the buffer
+    throw;
+  }
   account_consumed_locked(*ticket);
   if (ticket->error) std::rethrow_exception(ticket->error);
   if (observer_ != nullptr) {
@@ -353,15 +451,17 @@ bool Mailbox::test(const std::shared_ptr<RecvTicket>& ticket, Status* out) {
 }
 
 void Mailbox::cancel(const std::shared_ptr<RecvTicket>& ticket) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   account_consumed_locked(*ticket);
   std::erase_if(posted_,
                 [&](const PostedRecv& p) { return p.ticket == ticket; });
+  await_copy_locked(lock, *ticket);
 }
 
 void Mailbox::detach(const std::shared_ptr<RecvTicket>& ticket) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   ticket->detached = true;
+  await_copy_locked(lock, *ticket);
 }
 
 Status Mailbox::probe(context_t ctx, rank_t source, tag_t tag,
@@ -453,16 +553,6 @@ std::size_t Mailbox::queue_high_water() const {
   return queue_high_water_;
 }
 
-void Mailbox::count_context_locked(context_t ctx) {
-  for (auto& [context, count] : delivered_by_context_) {
-    if (context == ctx) {
-      ++count;
-      return;
-    }
-  }
-  delivered_by_context_.emplace_back(ctx, 1);
-}
-
 std::vector<std::pair<context_t, std::uint64_t>>
 Mailbox::delivered_by_context() const {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -481,7 +571,8 @@ bool Mailbox::busy() const {
 }
 
 MailboxDrain Mailbox::drain() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait(lock, [&] { return copies_in_flight_ == 0; });
   MailboxDrain report;
   report.envelopes = queue_.size();
   report.posted_recvs = posted_.size();

@@ -29,14 +29,28 @@
 
 namespace minimpi {
 
-/// A message in flight: routing key plus owned payload bytes.
+/// A message in flight: routing key plus payload bytes.
 /// `src` is always the *global* (world) rank of the sender; communicators
 /// translate to local ranks at the API boundary.
+///
+/// The payload is a view.  At a send site it borrows the sender's bytes,
+/// valid until deliver() returns: a receive that is already waiting gets
+/// them copied straight into its buffer, and only an envelope that has to
+/// queue copies them into its own `storage` (DESIGN.md §9, "One copy").
+/// Move-only, so a queued payload is never copied again.
 struct Envelope {
+  Envelope() = default;
+  Envelope(Envelope&&) noexcept = default;
+  Envelope& operator=(Envelope&&) noexcept = default;
+  Envelope(const Envelope&) = delete;
+  Envelope& operator=(const Envelope&) = delete;
+
   context_t context = kWorldContext;
   rank_t src = any_source;
   tag_t tag = any_tag;
-  std::vector<std::byte> payload;
+  std::span<const std::byte> payload;
+  /// Owned bytes: filled by own(), after which `payload` views them.
+  std::vector<std::byte> storage;
   /// Element-type signature of a typed send (empty for raw/control traffic);
   /// verified against the receive side when type checking is on.
   TypeSig sig{};
@@ -47,11 +61,29 @@ struct Envelope {
   /// matching receive event records the same id, which is what lets
   /// mph_prof stitch cross-rank happens-before edges.
   std::uint64_t flow = 0;
+
+  /// True when `payload` is exactly `storage` (or both are empty).
+  [[nodiscard]] bool owned() const noexcept {
+    return payload.size() == storage.size() &&
+           (payload.empty() || payload.data() == storage.data());
+  }
+  /// Make the payload owned: copy borrowed bytes into `storage`, or trim
+  /// `storage` to a view a truncate rule shrank.
+  void own() {
+    if (owned()) return;
+    if (payload.data() == storage.data()) {
+      storage.resize(payload.size());
+    } else {
+      storage.assign(payload.begin(), payload.end());
+    }
+    payload = storage;
+  }
 };
 
-/// Completion state of a posted (nonblocking) receive.  Shared between the
-/// poster (who waits) and the delivering sender (who completes it).
-/// All fields are protected by the owning Mailbox's mutex.
+/// Completion state of a posted receive.  Shared between the poster (who
+/// waits) and the delivering sender (who completes it).  A blocking recv
+/// publishes one too, on its own stack.  All fields are protected by the
+/// owning Mailbox's mutex.
 struct RecvTicket {
   bool done = false;
   Status status;                    ///< valid once done (source is global)
@@ -69,6 +101,10 @@ struct RecvTicket {
   /// The request was destroyed unconsumed (Mailbox::detach): the buffer may
   /// be gone, so a match discards the payload.
   bool detached = false;
+  /// A sender matched this receive and is copying into its buffer outside
+  /// the mutex; `done` follows.  Whatever ends the buffer's lifetime waits
+  /// for this to clear.
+  bool copying = false;
 };
 
 /// Deadline for blocking operations; Mailbox treats time_point::max() as
@@ -108,14 +144,17 @@ class Mailbox {
   /// blocking waits then also unwind when just this rank's domain aborts.
   void set_domain(const mph::atomic<bool>* flag, const std::string* reason);
 
-  /// Sender-side entry point: complete a matching posted receive or queue.
-  /// The observers see the send first, then the interposer may drop, delay
-  /// or alter the envelope.
+  /// Sender-side entry point: copy into a matching waiting receive, or
+  /// queue an owned copy.  The observers see the send first, then the
+  /// interposer may drop, delay or alter the envelope.  A borrowed payload
+  /// is not read after deliver() returns.
   void deliver(Envelope&& env);
 
   /// Blocking receive into a caller-owned buffer.  Throws Errc::truncation
-  /// if the matched payload exceeds `buffer.size()`.  `expected` is the
-  /// receive's element-type signature for the type checker (empty = raw).
+  /// if the matched payload exceeds `buffer.size()` (the envelope stays
+  /// queued).  `expected` is the receive's element-type signature for the
+  /// type checker (empty = raw).  While it waits, the buffer is published
+  /// among the posted receives, so a sender copies straight into it.
   Status recv(context_t ctx, rank_t source, tag_t tag,
               std::span<std::byte> buffer, Deadline deadline,
               TypeSig expected = {});
@@ -145,6 +184,7 @@ class Mailbox {
   /// Detach the buffer of a posted receive whose request died unconsumed:
   /// the receive keeps its place in the matching order (non-overtaking),
   /// but its envelope is discarded, not copied.  Not counted consumed.
+  /// Returns once no copy into the buffer is in flight.
   void detach(const std::shared_ptr<RecvTicket>& ticket);
 
   /// Blocking probe: wait for a matching message without consuming it.
@@ -171,7 +211,8 @@ class Mailbox {
   [[nodiscard]] std::vector<std::pair<context_t, std::uint64_t>>
   delivered_by_context() const;
 
-  /// Number of outstanding posted receives.
+  /// Number of outstanding posted receives (a waiting blocking recv that
+  /// published its buffer counts too).
   [[nodiscard]] std::size_t posted() const;
 
   /// Whether some thread holds the mutex now (a try-lock probe for tests;
@@ -195,7 +236,8 @@ class Mailbox {
       context_t ctx, tag_t tag) const;
 
   /// Discard every queued envelope and posted receive, reporting what
-  /// leaked — the finalize()/teardown accounting pass.
+  /// leaked — the finalize()/teardown accounting pass.  Waits out copies
+  /// in flight first.
   MailboxDrain drain();
 
  private:
@@ -204,8 +246,10 @@ class Mailbox {
     rank_t source;
     tag_t tag;
     std::span<std::byte> buffer;
+    /// Non-owning for a blocking recv (its ticket lives on its stack).
     std::shared_ptr<RecvTicket> ticket;
     TypeSig expected{};  ///< receive-side type signature (empty = raw)
+    bool blocking = false;  ///< a published blocking recv, not an irecv
   };
 
   /// True when the (ctx,source,tag) pattern matches envelope `e`.
@@ -220,14 +264,16 @@ class Mailbox {
   void check_abort_locked() const;
 
   /// Waits until `pred` or deadline/abort: a bounded number of yield rounds
-  /// (none under verification), then parks on the condition variable.
-  /// Caller must hold `lock`.  Throws on timeout or abort; the timeout
-  /// error names the unmatched (context, source, tag) pattern and the
-  /// queued-envelope count so deadlocks identify the missing message.
+  /// (none under verification), then parks on the condition variable —
+  /// but not while a sender copies into `ticket` (the waited receive, if
+  /// any).  Caller must hold `lock`.  Throws on timeout or abort; the
+  /// timeout error names the unmatched (context, source, tag) pattern and
+  /// the queued-envelope count so deadlocks identify the missing message.
   template <class Pred>
   void wait_locked(std::unique_lock<std::mutex>& lock, Deadline deadline,
                    Pred pred, const char* operation, context_t ctx,
-                   rank_t source, tag_t tag);
+                   rank_t source, tag_t tag,
+                   const RecvTicket* ticket = nullptr);
 
   /// Find the first queued envelope matching the pattern. Caller holds lock.
   [[nodiscard]] std::deque<Envelope>::iterator find_locked(context_t ctx,
@@ -251,14 +297,22 @@ class Mailbox {
                  const TypeSig& expected, std::span<std::byte> buffer,
                  std::vector<std::byte>* take);
 
-  /// Complete posted receive `ticket` (buffer `buffer`) with matched
-  /// envelope `env`: the one completion routine of deliver and post_recv.
-  /// Caller holds `mutex_`.
-  void complete_locked(RecvTicket& ticket, std::span<std::byte> buffer,
-                       const TypeSig& expected, const Envelope& env);
+  /// Complete receive `r` with matched envelope `env`, the one completion
+  /// routine of deliver and post_recv.  Under `lock`: report the match and
+  /// claim the ticket; outside it: copy the payload into `r.buffer`; under
+  /// it again: mark the ticket done.  Returns false, leaving `env` for the
+  /// queue, when a blocking receive's buffer is too small.
+  bool complete(std::unique_lock<std::mutex>& lock, const PostedRecv& r,
+                const Envelope& env);
 
-  /// Bump the delivered-per-context counter for `ctx`. Caller holds mutex_.
-  void count_context_locked(context_t ctx);
+  /// Block until no sender is copying into `ticket`'s buffer.
+  void await_copy_locked(std::unique_lock<std::mutex>& lock,
+                         const RecvTicket& ticket);
+
+  /// Report a delivery that has reached its final place (a completed
+  /// receive or the queue) and count it per context.  Caller holds
+  /// `mutex_`.
+  void delivered_locked(const Envelope& env);
 
   const mph::atomic<bool>& abort_flag_;
   const std::string& abort_reason_;
@@ -273,6 +327,7 @@ class Mailbox {
   std::deque<Envelope> queue_;          ///< unmatched arrivals, in order
   std::vector<PostedRecv> posted_;      ///< outstanding posted receives
   std::size_t queue_high_water_ = 0;    ///< max queue_ size ever seen
+  std::size_t copies_in_flight_ = 0;    ///< claimed copies (see complete)
   /// Deliveries per context (few contexts per rank: linear scan under the
   /// deliver-side lock).
   std::vector<std::pair<context_t, std::uint64_t>> delivered_by_context_;

@@ -7,7 +7,6 @@
 
 #include "src/minimpi/error.hpp"
 #include "src/util/json.hpp"
-#include "src/util/strings.hpp"
 
 namespace minimpi::prof {
 
@@ -174,15 +173,6 @@ LoadedTrace load_chrome_trace(std::string_view json_text) {
   out.report.ranks.reserve(ranks.size());
   for (auto& [tid, r] : ranks) out.report.ranks.push_back(std::move(r));
   return out;
-}
-
-LoadedTrace load_chrome_trace_file(const std::string& path) {
-  const std::optional<std::string> text = mph::util::read_file(path);
-  if (!text) {
-    throw Error(Errc::invalid_argument,
-                "mph_prof: cannot read trace file '" + path + "'");
-  }
-  return load_chrome_trace(*text);
 }
 
 }  // namespace minimpi::prof

@@ -34,8 +34,4 @@ struct LoadedTrace {
 /// std::runtime_error (from the JSON parser) when it is not JSON at all.
 [[nodiscard]] LoadedTrace load_chrome_trace(std::string_view json_text);
 
-/// load_chrome_trace over a file's contents; throws minimpi::Error when
-/// the file cannot be read.
-[[nodiscard]] LoadedTrace load_chrome_trace_file(const std::string& path);
-
 }  // namespace minimpi::prof

@@ -251,14 +251,6 @@ Registry Registry::parse(std::string_view text) {
   return registry;
 }
 
-Registry Registry::load(const std::string& path) {
-  const std::optional<std::string> text = util::read_file(path);
-  if (!text) {
-    throw RegistryError(0, "cannot open registration file '" + path + "'");
-  }
-  return parse(*text);
-}
-
 int Registry::total_components() const noexcept {
   int total = 0;
   for (const ExecutableBlock& block : blocks_) {

@@ -90,9 +90,6 @@ class Registry {
   /// tokens per line, ...).
   static Registry parse(std::string_view text);
 
-  /// Read and parse a file.  Throws RegistryError when unreadable.
-  static Registry load(const std::string& path);
-
   [[nodiscard]] const std::vector<ExecutableBlock>& blocks() const noexcept {
     return blocks_;
   }

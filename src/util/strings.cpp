@@ -10,7 +10,8 @@ namespace mph::util {
 
 namespace {
 [[nodiscard]] bool is_ws(char c) noexcept {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' || c == '\v';
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' ||
+         c == '\v';
 }
 [[nodiscard]] char lower(char c) noexcept {
   return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));

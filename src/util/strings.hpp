@@ -24,7 +24,8 @@ namespace mph::util {
 [[nodiscard]] std::vector<std::string_view> split_ws(std::string_view s);
 
 /// Split on a single character delimiter; empty fields are preserved.
-[[nodiscard]] std::vector<std::string_view> split(std::string_view s, char delim);
+[[nodiscard]] std::vector<std::string_view> split(std::string_view s,
+                                                  char delim);
 
 /// Strip an end-of-line comment.  Both Fortran-style `!` (used by the paper's
 /// registration files) and shell-style `#` introduce comments.
@@ -34,7 +35,8 @@ namespace mph::util {
 [[nodiscard]] bool iequals(std::string_view a, std::string_view b) noexcept;
 
 /// True if `s` starts with `prefix` (exact case).
-[[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) noexcept;
+[[nodiscard]] bool starts_with(std::string_view s,
+                               std::string_view prefix) noexcept;
 
 /// Strict integer parse: the whole token must be consumed.
 [[nodiscard]] std::optional<long long> parse_int(std::string_view s) noexcept;

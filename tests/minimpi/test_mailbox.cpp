@@ -22,8 +22,9 @@ Envelope make_env(context_t ctx, rank_t src, tag_t tag,
   e.context = ctx;
   e.src = src;
   e.tag = tag;
-  e.payload.resize(values.size() * sizeof(int));
-  std::memcpy(e.payload.data(), std::data(values), e.payload.size());
+  e.storage.resize(values.size() * sizeof(int));
+  std::memcpy(e.storage.data(), std::data(values), e.storage.size());
+  e.payload = e.storage;
   return e;
 }
 
@@ -109,8 +110,8 @@ TEST_F(MailboxFixture, RecvTakeReturnsPayload) {
 
 TEST_F(MailboxFixture, PostRecvCompletesOnDeliver) {
   int out = 0;
-  auto ticket =
-      box.post_recv(1, any_source, 4, std::as_writable_bytes(std::span<int>(&out, 1)));
+  auto ticket = box.post_recv(1, any_source, 4,
+                              std::as_writable_bytes(std::span<int>(&out, 1)));
   EXPECT_FALSE(box.test(ticket, nullptr));
   box.deliver(make_env(1, 6, 4, {77}));
   Status st;
@@ -145,8 +146,9 @@ TEST_F(MailboxFixture, PostedRecvsMatchInPostingOrder) {
 
 TEST_F(MailboxFixture, PostedTruncationSurfacesAtWait) {
   int small = 0;
-  auto ticket = box.post_recv(1, any_source, any_tag,
-                              std::as_writable_bytes(std::span<int>(&small, 1)));
+  auto ticket =
+      box.post_recv(1, any_source, any_tag,
+                    std::as_writable_bytes(std::span<int>(&small, 1)));
   box.deliver(make_env(1, 0, 0, {1, 2}));
   EXPECT_THROW(box.wait(ticket, soon), Error);
 }

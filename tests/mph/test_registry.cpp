@@ -311,11 +311,6 @@ TEST(RegistryErrors, ReservedWordAsName) {
   EXPECT_THROW((void)Registry::parse("BEGIN\nBEGIN\nEND\n"), RegistryError);
 }
 
-TEST(RegistryErrors, LoadNonexistentFile) {
-  EXPECT_THROW((void)Registry::load("/nonexistent/processors_map.in"),
-               RegistryError);
-}
-
 // ---------------------------------------------------------------------------
 // Round-trip: parse(to_text(parse(x))) == parse(x) on the model level.
 // ---------------------------------------------------------------------------
