@@ -57,10 +57,9 @@ inline std::string scme_registry(int n) {
 
 /// Command file for `n` single-component executables with `ranks_each`
 /// processes each, every rank performing MPH setup and timing it.
-inline std::vector<minimpi::ExecSpec> scme_job(int n, int ranks_each,
-                                               const std::string& registry,
-                                               MaxSeconds& setup_time,
-                                               mph::HandshakeOptions options = {}) {
+inline std::vector<minimpi::ExecSpec> scme_job(
+    int n, int ranks_each, const std::string& registry, MaxSeconds& setup_time,
+    mph::HandshakeOptions options = {}) {
   std::vector<minimpi::ExecSpec> specs;
   specs.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {

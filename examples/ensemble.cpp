@@ -123,7 +123,8 @@ void statistics_main(const minimpi::Comm& world, const minimpi::ExecEnv& env) {
 
   std::printf("\nensemble SST statistics per coupling interval (gain=%.2f):\n",
               gain);
-  std::printf("interval |     mean |   median |      min |      max |  stddev\n");
+  std::printf(
+      "interval |     mean |   median |      min |      max |  stddev\n");
   for (std::size_t i = 0; i < result.snapshots.size(); ++i) {
     const auto& s = result.snapshots[i];
     std::printf("%8zu | %8.4f | %8.4f | %8.4f | %8.4f | %7.4f\n", i, s.mean,

@@ -9,7 +9,8 @@ double EnsembleStatistics::median_of(std::vector<double> values) {
     throw std::invalid_argument("median of an empty sample");
   }
   const std::size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),
+  std::nth_element(values.begin(),
+                   values.begin() + static_cast<std::ptrdiff_t>(mid),
                    values.end());
   const double upper = values[mid];
   if (values.size() % 2 == 1) return upper;

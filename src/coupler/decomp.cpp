@@ -67,9 +67,8 @@ Decomp Decomp::weighted(std::int64_t global_size,
   std::vector<std::pair<double, int>> remainders;  // (-fraction, rank)
   std::int64_t assigned = 0;
   for (int r = 0; r < nranks; ++r) {
-    const double share =
-        static_cast<double>(global_size) * weights[static_cast<std::size_t>(r)] /
-        total;
+    const double share = static_cast<double>(global_size) *
+                         weights[static_cast<std::size_t>(r)] / total;
     counts[static_cast<std::size_t>(r)] = static_cast<std::int64_t>(share);
     assigned += counts[static_cast<std::size_t>(r)];
     remainders.emplace_back(-(share - static_cast<double>(
@@ -79,7 +78,8 @@ Decomp Decomp::weighted(std::int64_t global_size,
   // Ties break toward the lower rank: sort is on (-fraction, rank).
   std::sort(remainders.begin(), remainders.end());
   for (std::size_t i = 0; assigned < global_size; ++i) {
-    ++counts[static_cast<std::size_t>(remainders[i % remainders.size()].second)];
+    const int rank = remainders[i % remainders.size()].second;
+    ++counts[static_cast<std::size_t>(rank)];
     ++assigned;
   }
 

@@ -165,8 +165,8 @@ std::optional<Decomp> Rebalancer::propose_if_imbalanced(
   return proposal;
 }
 
-std::optional<Decomp> Rebalancer::propose(const Decomp& current,
-                                          std::span<const double> step_seconds) {
+std::optional<Decomp> Rebalancer::propose(
+    const Decomp& current, std::span<const double> step_seconds) {
   smooth(throughput_weights(current, step_seconds));
   return propose_if_imbalanced(current, step_seconds);
 }

@@ -447,7 +447,8 @@ CheckReport::RankLeak Checker::rank_leak(rank_t world_rank) const {
   leak.world_rank = world_rank;
   leak.component = label_of(world_rank);
   if (world_rank < 0 || world_rank >= world_size_) return leak;
-  leak.envelopes = leaked_envelopes_[world_rank].load(std::memory_order_relaxed);
+  leak.envelopes =
+      leaked_envelopes_[world_rank].load(std::memory_order_relaxed);
   leak.posted_recvs =
       leaked_posted_[world_rank].load(std::memory_order_relaxed);
   const std::int64_t requests =

@@ -90,9 +90,15 @@ struct MonitorOptions {
   bool socket = true;
 
   /// Published file/socket names under `dir`.
-  [[nodiscard]] std::string jsonl_path() const { return dir + "/mph_metrics.jsonl"; }
-  [[nodiscard]] std::string exposition_path() const { return dir + "/mph_metrics.prom"; }
-  [[nodiscard]] std::string socket_path() const { return dir + "/mph_monitor.sock"; }
+  [[nodiscard]] std::string jsonl_path() const {
+    return dir + "/mph_metrics.jsonl";
+  }
+  [[nodiscard]] std::string exposition_path() const {
+    return dir + "/mph_metrics.prom";
+  }
+  [[nodiscard]] std::string socket_path() const {
+    return dir + "/mph_monitor.sock";
+  }
 
   /// Apply a MINIMPI_MONITOR-style value on top of these options:
   /// "1"/"on"/"true" enable; a comma/space list may add "interval=N"

@@ -18,7 +18,8 @@ thread_local int tl_tid = 0;
 /// Installs the engine on the litmus body's thread for one exploration.
 class ScopedEngine {
  public:
-  explicit ScopedEngine(Engine* e) : prev_engine_(tl_engine), prev_tid_(tl_tid) {
+  explicit ScopedEngine(Engine* e)
+      : prev_engine_(tl_engine), prev_tid_(tl_tid) {
     tl_engine = e;
     tl_tid = 0;
   }
@@ -106,9 +107,10 @@ RacerReport Engine::run_loop(const std::string& name,
       break;
     }
     if (opt_.budget_ms != 0) {
-      const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
+      const auto elapsed =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count();
       if (static_cast<std::uint64_t>(elapsed) >= opt_.budget_ms) {
         report_.time_budget_exhausted = true;
         break;
@@ -365,7 +367,9 @@ int Engine::pick_thread() {
   }
   int k = decide('t', static_cast<int>(awake.size()), pruned, std::move(note));
   if (k < 0 || k >= static_cast<int>(awake.size())) k = 0;
-  for (int i = 0; i < k; ++i) sleeping_.insert(awake[static_cast<std::size_t>(i)]);
+  for (int i = 0; i < k; ++i) {
+    sleeping_.insert(awake[static_cast<std::size_t>(i)]);
+  }
   const int chosen = awake[static_cast<std::size_t>(k)];
   if (cur_runnable && chosen != current_) ++preemptions_;
   current_ = chosen;

@@ -24,7 +24,8 @@
 #pragma once
 
 #if !defined(MPH_RACER) || !MPH_RACER
-#error "racer/engine.hpp requires -DMPH_RACER=1 (link minimpi_racer, not minimpi)"
+#error \
+    "racer/engine.hpp requires -DMPH_RACER=1 (link minimpi_racer, not minimpi)"
 #endif
 
 #include <condition_variable>

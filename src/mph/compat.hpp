@@ -11,8 +11,8 @@
 //   int me = mph::compat::MPH_local_proc_id();
 //
 // Each rank-thread owns one current handle (set implicitly by the
-// MPH_*setup calls).  New C++ code should prefer the explicit mph::Mph
-// object API.
+// MPH_*setup calls, dropped when the rank's entry point ends).  New C++
+// code should prefer the explicit mph::Mph object API.
 #pragma once
 
 #include <string>

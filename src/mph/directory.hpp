@@ -31,7 +31,9 @@ struct ComponentRecord {
   minimpi::rank_t global_high = -1;  ///< last world rank (inclusive)
   ArgumentSet args;
 
-  [[nodiscard]] int size() const noexcept { return global_high - global_low + 1; }
+  [[nodiscard]] int size() const noexcept {
+    return global_high - global_low + 1;
+  }
   [[nodiscard]] bool covers_world_rank(minimpi::rank_t world) const noexcept {
     return world >= global_low && world <= global_high;
   }
@@ -63,7 +65,8 @@ class Directory {
     return static_cast<int>(execs_.size());
   }
 
-  [[nodiscard]] const std::vector<ComponentRecord>& components() const noexcept {
+  [[nodiscard]] const std::vector<ComponentRecord>& components()
+      const noexcept {
     return components_;
   }
   [[nodiscard]] const std::vector<ExecRecord>& execs() const noexcept {

@@ -425,7 +425,8 @@ std::string render_watch(const WatchView& view) {
     }
     out += "\n";
     for (const minimpi::watch::HealthEvent& ev : active_alerts(job.events)) {
-      out += "    ALERT " + std::string(minimpi::watch::severity_name(ev.severity)) + " " +
+      out += "    ALERT " +
+             std::string(minimpi::watch::severity_name(ev.severity)) + " " +
              ev.rule + "/" + ev.subject + ": " + ev.message;
       if (!ev.blame.empty()) out += "  [blame: " + ev.blame + "]";
       out += "\n";

@@ -161,7 +161,8 @@ minimpi::Comm Mph::comm_join(std::string_view first,
                                 world().global_of(me),
                                 minimpi::TraceOp::phase, "comm_join",
                                 minimpi::kPhaseCommJoin);
-  return world().create_ordered_world(std::span<const minimpi::rank_t>(members));
+  return world().create_ordered_world(
+      std::span<const minimpi::rank_t>(members));
 }
 
 const std::string& Mph::comp_name() const {

@@ -93,7 +93,9 @@ class Mph {
   // ---- communicators ------------------------------------------------------
 
   /// MPH_Global_World: the communicator spanning the whole application.
-  [[nodiscard]] const minimpi::Comm& world() const noexcept { return result_.world; }
+  [[nodiscard]] const minimpi::Comm& world() const noexcept {
+    return result_.world;
+  }
 
   /// Communicator of this rank's executable.
   [[nodiscard]] const minimpi::Comm& exec_comm() const noexcept {
@@ -265,7 +267,7 @@ class Mph {
     return false;
   }
 
-  // ---- SMP-node awareness (paper §9 further work (a)) ------------------------
+  // ---- SMP-node awareness (paper §9 further work (a)) -----------------------
 
   /// Node hosting this rank under `topology`.
   [[nodiscard]] int node_id(const minimpi::Topology& topology) const {
@@ -279,7 +281,7 @@ class Mph {
     return minimpi::split_by_node(comp_comm(), topology);
   }
 
-  // ---- dynamic reallocation (paper §9 further work (b)) -----------------------
+  // ---- dynamic reallocation (paper §9 further work (b)) ---------------------
 
   /// Re-run the handshake against a NEW registration file on the same
   /// world, with the same declaration this handle was created with.
@@ -291,7 +293,7 @@ class Mph {
   [[nodiscard]] Mph remap(const RegistrySource& new_source,
                           HandshakeOptions options = {}) const;
 
-  // ---- output redirection (paper §5.4) ---------------------------------------
+  // ---- output redirection (paper §5.4) --------------------------------------
 
   /// MPH_redirect_output: route this rank's component output.  Local proc 0
   /// of each component writes to `<dir>/<comp_name>.log`; every other rank

@@ -226,9 +226,9 @@ Registry Registry::parse(std::string_view text) {
     throw RegistryError(1, "empty registration file (missing BEGIN)");
   }
   if (where == Where::in_block) {
-    throw RegistryError(line_no, "unterminated " +
-                                     std::string(block_kind_name(current.kind)) +
-                                     " block");
+    throw RegistryError(
+        line_no, "unterminated " +
+                     std::string(block_kind_name(current.kind)) + " block");
   }
   if (where == Where::top_level) {
     throw RegistryError(line_no, "missing END");

@@ -84,7 +84,9 @@ class ComboChecker {
     match_p2p();
     check_collectives();
     build_graph();
-    std::string out = "digraph causality {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
+    std::string out =
+        "digraph causality {\n  rankdir=LR;\n"
+        "  node [shape=box, fontsize=10];\n";
     for (std::size_t n = 0; n < node_desc_.size(); ++n) {
       out += "  n" + std::to_string(n) + " [label=\"" +
              node_label_[n] + "\"" +

@@ -12,7 +12,13 @@
 
 namespace mph::util {
 
-enum class DiagLevel : int { off = 0, error = 1, warn = 2, info = 3, trace = 4 };
+enum class DiagLevel : int {
+  off = 0,
+  error = 1,
+  warn = 2,
+  info = 3,
+  trace = 4
+};
 
 /// Set the global diagnostic threshold.
 void set_diag_level(DiagLevel level) noexcept;

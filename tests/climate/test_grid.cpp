@@ -50,7 +50,8 @@ TEST(RowBlockField2D, RowsPartitionAcrossRanks) {
     // 7 rows over 3 ranks: 3, 2, 2.
     const int expect_rows = world.rank() == 0 ? 3 : 2;
     EXPECT_EQ(field.local_rows(), expect_rows);
-    const int expect_offset = world.rank() == 0 ? 0 : 3 + 2 * (world.rank() - 1);
+    const int expect_offset =
+        world.rank() == 0 ? 0 : 3 + 2 * (world.rank() - 1);
     EXPECT_EQ(field.row_offset(), expect_offset);
   });
 }
@@ -136,7 +137,9 @@ TEST(RowBlockField2D, ScatterDistributesGlobalField) {
     std::vector<double> full;
     if (world.rank() == 0) {
       full.resize(8);
-      for (std::size_t k = 0; k < 8; ++k) full[k] = 10.0 * static_cast<double>(k);
+      for (std::size_t k = 0; k < 8; ++k) {
+        full[k] = 10.0 * static_cast<double>(k);
+      }
     }
     field.scatter(world, full, 0);
     for (int r = 0; r < field.local_rows(); ++r) {

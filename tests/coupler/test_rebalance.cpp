@@ -231,9 +231,9 @@ TEST(Repartition, MovesDataAndRoundTripsUnderSpmd) {
         std::vector<double> local(
             static_cast<std::size_t>(from.local_size(me)));
         for (std::size_t l = 0; l < local.size(); ++l) {
-          local[l] = 2.0 * static_cast<double>(
-                               from.to_global(me, static_cast<std::int64_t>(l))) +
-                     0.5;
+          const std::int64_t global =
+              from.to_global(me, static_cast<std::int64_t>(l));
+          local[l] = 2.0 * static_cast<double>(global) + 0.5;
         }
 
         const std::vector<double> moved =

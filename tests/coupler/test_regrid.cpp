@@ -23,7 +23,7 @@ TEST(Regrid1D, IdentityWhenSameSize) {
   const std::vector<double> src{1, 2, 3, 4, 5};
   std::vector<double> dst(5);
   map.apply(src, dst);
-  for (int i = 0; i < 5; ++i) EXPECT_NEAR(dst[static_cast<std::size_t>(i)], src[static_cast<std::size_t>(i)], 1e-12);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(dst[i], src[i], 1e-12);
 }
 
 TEST(Regrid1D, ConstantFieldPreserved) {

@@ -21,8 +21,9 @@ using minimpi::JobReport;
 using minimpi::KillPoint;
 using minimpi::kill_point_name;
 
-JobOptions with_plan(FaultPlan plan,
-                     std::chrono::milliseconds timeout = std::chrono::seconds(30)) {
+JobOptions with_plan(
+    FaultPlan plan,
+    std::chrono::milliseconds timeout = std::chrono::seconds(30)) {
   JobOptions options;
   options.recv_timeout = timeout;
   options.faults = std::move(plan);

@@ -93,7 +93,9 @@ TEST_P(CollectiveSweep, GatherOrdersByRank) {
     const std::vector<int> all = gather(world, std::span<const int>(mine), 0);
     if (world.rank() == 0) {
       ASSERT_EQ(all.size(), static_cast<std::size_t>(2 * n));
-      for (int i = 0; i < 2 * n; ++i) EXPECT_EQ(all[static_cast<std::size_t>(i)], i);
+      for (int i = 0; i < 2 * n; ++i) {
+        EXPECT_EQ(all[static_cast<std::size_t>(i)], i);
+      }
     } else {
       EXPECT_TRUE(all.empty());
     }

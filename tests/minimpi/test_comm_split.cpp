@@ -160,9 +160,11 @@ TEST(CommCreateOrderedWorld, OnlyMembersParticipate) {
   run_ok(6, [](const Comm& world) {
     // Ranks {4, 0, 2} build a communicator without involving 1, 3, 5.
     const std::vector<rank_t> members{4, 0, 2};
-    const bool mine = world.rank() == 4 || world.rank() == 0 || world.rank() == 2;
+    const bool mine =
+        world.rank() == 4 || world.rank() == 0 || world.rank() == 2;
     if (mine) {
-      const Comm joint = world.create_ordered_world(std::span<const rank_t>(members));
+      const Comm joint =
+          world.create_ordered_world(std::span<const rank_t>(members));
       ASSERT_TRUE(joint.valid());
       EXPECT_EQ(joint.size(), 3);
       EXPECT_EQ(joint.group()[0], 4);
@@ -180,7 +182,8 @@ TEST(CommCreateOrderedWorld, TwoConcurrentDisjointJoins) {
     const std::vector<rank_t> left{0, 1};
     const std::vector<rank_t> right{2, 3};
     const auto& mine = world.rank() < 2 ? left : right;
-    const Comm joint = world.create_ordered_world(std::span<const rank_t>(mine));
+    const Comm joint =
+        world.create_ordered_world(std::span<const rank_t>(mine));
     ASSERT_TRUE(joint.valid());
     EXPECT_EQ(joint.size(), 2);
     const int expect = world.rank() < 2 ? 1 : 2;

@@ -152,10 +152,9 @@ TEST(Launcher, FailureInOneRankAbortsJob) {
 
 TEST(Launcher, RejectsEmptyAndInvalidSpecs) {
   EXPECT_THROW(run_mpmd({}), Error);
-  EXPECT_THROW(run_mpmd({ExecSpec{"x", 0, [](const Comm&, const ExecEnv&) {}, {}}}),
-               Error);
-  EXPECT_THROW(run_mpmd({ExecSpec{"x", -2, [](const Comm&, const ExecEnv&) {}, {}}}),
-               Error);
+  const auto noop = [](const Comm&, const ExecEnv&) {};
+  EXPECT_THROW(run_mpmd({ExecSpec{"x", 0, noop, {}}}), Error);
+  EXPECT_THROW(run_mpmd({ExecSpec{"x", -2, noop, {}}}), Error);
   EXPECT_THROW(run_mpmd({ExecSpec{"x", 1, nullptr, {}}}), Error);
 }
 

@@ -44,7 +44,8 @@ inline minimpi::JobReport run_mph_job(
         [&registry_text, &execs, i, options](const minimpi::Comm& world,
                                              const minimpi::ExecEnv&) {
           const TestExec& me = execs[i];
-          const RegistrySource source = RegistrySource::from_text(registry_text);
+          const RegistrySource source =
+              RegistrySource::from_text(registry_text);
           Mph handle =
               me.instance_prefix.empty()
                   ? Mph::components_setup(world, source, me.names, options)

@@ -72,8 +72,8 @@ END
 
                          Mph h2 = h.remap(RegistrySource::from_text(phase2));
                          EXPECT_EQ(h2.directory().component("ocean").size(), 4);
-                         EXPECT_EQ(h2.directory().component("atmosphere").size(),
-                                   2);
+                         const Directory& dir2 = h2.directory();
+                         EXPECT_EQ(dir2.component("atmosphere").size(), 2);
                          // Membership changed with the ranges.
                          const bool in_ocean2 = world.rank() >= 2;
                          EXPECT_EQ(h2.proc_in_component("ocean"), in_ocean2);

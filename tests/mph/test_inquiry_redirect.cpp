@@ -2,6 +2,7 @@
 // the paper-spelling compat layer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 
@@ -209,6 +210,37 @@ TEST(Compat, PaperStyleMainProgram) {
       test_job_options());
   ASSERT_TRUE(report.ok) << report.abort_reason << " / "
                          << report.first_error();
+}
+
+TEST(Compat, HandleLeftSetDoesNotReachTheNextJob) {
+  // Ranks that set up and return without clear_current: their pooled
+  // threads run the next job's ranks, which must start with no handle.
+  const auto setup_and_leave = [](const std::string& name) {
+    return minimpi::ExecSpec{
+        name, 1,
+        [name](const Comm& world, const minimpi::ExecEnv&) {
+          using namespace mph::compat;
+          (void)MPH_components_setup(
+              world, RegistrySource::from_text(kRegistry), {name});
+          EXPECT_TRUE(has_current());
+        },
+        {}};
+  };
+  const minimpi::JobReport first = minimpi::run_mpmd(
+      {setup_and_leave("atmosphere"), setup_and_leave("ocean"),
+       setup_and_leave("coupler")},
+      test_job_options());
+  ASSERT_TRUE(first.ok) << first.abort_reason;
+
+  std::atomic<int> with_handle{0};
+  const minimpi::JobReport next = minimpi::run_spmd(
+      3,
+      [&](const Comm&, const minimpi::ExecEnv&) {
+        if (mph::compat::has_current()) ++with_handle;
+      },
+      test_job_options());
+  ASSERT_TRUE(next.ok) << next.abort_reason;
+  EXPECT_EQ(with_handle.load(), 0);
 }
 
 TEST(Compat, NoSetupThrows) {

@@ -46,7 +46,8 @@ END
 )");
   const Directory dir = plan_layout(
       reg, {
-               PlannedExecutable{{"atmosphere", "land", "chemistry"}, false, 20},
+               PlannedExecutable{
+                   {"atmosphere", "land", "chemistry"}, false, 20},
                PlannedExecutable{{"ocean", "ice"}, false, 32},
                PlannedExecutable{{"coupler"}, false, 4},
            });

@@ -133,7 +133,8 @@ minimpi::JobReport run_liveness_job(int attempts,
 
   return mph::testing::run_mph_job(
       kRegistry,
-      {TestExec{{}, "Ocean", 6, member}, TestExec{{"statistics"}, "", 1, stats}},
+      {TestExec{{}, "Ocean", 6, member},
+       TestExec{{"statistics"}, "", 1, stats}},
       handshake, std::move(job));
 }
 
