@@ -4,12 +4,15 @@
 // libraries (the environment the paper ran on):
 //   barrier      — dissemination (⌈log2 n⌉ rounds)
 //   bcast        — binomial tree rooted at `root`
+//   bcast_string/bytes — one binomial pass of one self-sized record
 //   reduce       — binomial tree fold (mirror of bcast)
 //   allreduce    — reduce to 0 + bcast
 //   gather(v)    — linear to root
 //   scatter      — linear from root
-//   allgather(v) — ring (n-1 steps, each rank forwards its predecessor's
-//                  latest block)
+//   allgather(v) — Bruck (⌈log2 n⌉ rounds for any n, one message per
+//                  rank per round); allgatherv's messages are runs of
+//                  self-sized [u64 length][bytes] records, so no counts
+//                  round
 //   alltoall     — shifted pairwise exchange
 //   scan         — linear chain (inclusive prefix)
 //
@@ -21,8 +24,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,23 +66,159 @@ struct CollectiveScope {
   }
 };
 
-/// The ring both allgathers run: place this rank's `mine` in its block,
-/// then n-1 steps in which each rank sends the block it got last to its
-/// successor and receives its predecessor's.  `block(b)` is rank b's part
-/// of the result.
-template <Transferable T, class BlockOf>
-void ring_allgather(const Comm& comm, tag_t tag, std::span<const T> mine,
-                    BlockOf block) {
+/// Self-sized blocks.  Allgatherv and bcast_string/bcast_bytes messages
+/// are runs of records, each one block as a u64 byte length followed by
+/// the bytes, so a receiver learns every size from the message itself and
+/// no counts round runs first.
+using RecordLength = std::uint64_t;
+
+/// Append `bytes` to `wire` as one record.
+inline void append_record(std::vector<std::byte>& wire,
+                          std::span<const std::byte> bytes) {
+  const RecordLength length = bytes.size();
+  const std::size_t at = wire.size();
+  wire.resize(at + sizeof length + bytes.size());
+  std::memcpy(wire.data() + at, &length, sizeof length);
+  if (!bytes.empty()) {
+    std::memcpy(wire.data() + at + sizeof length, bytes.data(), bytes.size());
+  }
+}
+
+/// Check that `message`, received by collective `op` from `source`, is
+/// exactly `records` whole records, and append each record's end offset,
+/// shifted by `base`, to `ends`.  Every length header is checked against
+/// the bytes that arrived, so a short or overlong message throws a
+/// truncation Error and nothing past the message is ever read.
+inline void parse_records(std::span<const std::byte> message,
+                          std::size_t records, const char* op,
+                          rank_t source, std::size_t base,
+                          std::vector<std::size_t>& ends) {
+  const auto fail = [&](const std::string& why) {
+    return Error(Errc::truncation, std::string(op) + ": message of " +
+                                       std::to_string(message.size()) +
+                                       " bytes from rank " +
+                                       std::to_string(source) + " " + why);
+  };
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < records; ++i) {
+    const std::size_t left = message.size() - at;
+    const std::string record = "record " + std::to_string(i + 1) + " of " +
+                               std::to_string(records);
+    if (left < sizeof(RecordLength)) {
+      throw fail("ends inside the length header of " + record);
+    }
+    RecordLength length = 0;
+    std::memcpy(&length, message.data() + at, sizeof length);
+    if (length > left - sizeof(RecordLength)) {
+      throw fail("is too short for " + record + ", whose header says " +
+                 std::to_string(length) + " bytes");
+    }
+    at += sizeof(RecordLength) + static_cast<std::size_t>(length);
+    ends.push_back(base + at);
+  }
+  if (at != message.size()) {
+    throw fail("carries " + std::to_string(message.size() - at) +
+               " bytes past its last record");
+  }
+}
+
+/// Every rank's block of an allgatherv, in rank order, viewing `wire`.
+struct Gathered {
+  std::vector<std::byte> wire;
+  std::vector<std::span<const std::byte>> blocks;
+};
+
+/// `allgatherv` as a Bruck exchange of one self-sized record per rank:
+/// ⌈log2 n⌉ rounds for any n.  Rank r holds records in the order r, r+1,
+/// ... (mod n).  In the round at distance d it sends its first min(d, n-d)
+/// records, a prefix of its wire buffer, to rank r-d as one message, and
+/// appends the records rank r+d sends it.
+inline Gathered allgather_records(const Comm& comm, std::uint32_t elem_size,
+                                  std::span<const std::byte> mine) {
+  const CollectiveScope scope(comm, "allgatherv", -1,
+                              Checker::kUncheckedCount, elem_size);
+  const tag_t tag = comm.next_collective_tag();
   const int n = comm.size();
   const int r = comm.rank();
-  std::copy(mine.begin(), mine.end(), block(r).begin());
-  const rank_t to = (r + 1) % n;
-  const rank_t from = (r - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    comm.sendrecv_raw(std::as_bytes(block((r - step + n) % n)), to, tag,
-                      std::as_writable_bytes(block((r - step - 1 + n) % n)),
-                      from, tag);
+  Gathered out;
+  append_record(out.wire, mine);
+  std::vector<std::size_t> ends{out.wire.size()};  // held record i ends
+  ends.reserve(static_cast<std::size_t>(n));
+  for (int d = 1; d < n; d <<= 1) {
+    const auto records = static_cast<std::size_t>(std::min(d, n - d));
+    const rank_t from = (r + d) % n;
+    comm.send_raw(
+        std::span<const std::byte>(out.wire).first(ends[records - 1]),
+        (r - d + n) % n, tag);
+    const std::vector<std::byte> message = comm.recv_take_raw(from, tag).second;
+    parse_records(message, records, "allgatherv", from, out.wire.size(),
+                  ends);
+    out.wire.insert(out.wire.end(), message.begin(), message.end());
   }
+  out.blocks.resize(static_cast<std::size_t>(n));
+  std::size_t start = 0;
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    const std::size_t data = start + sizeof(RecordLength);
+    out.blocks[(static_cast<std::size_t>(r) + i) % ends.size()] =
+        std::span<const std::byte>(out.wire).subspan(data, ends[i] - data);
+    start = ends[i];
+  }
+  return out;
+}
+
+/// Send `out` to `to` and receive exactly `in.size()` bytes from `from`
+/// into `in`; a message of any other size is a truncation Error naming
+/// collective `op` and `from`.
+inline void exchange_exact(const Comm& comm, tag_t tag, const char* op,
+                           std::span<const std::byte> out, rank_t to,
+                           std::span<std::byte> in, rank_t from) {
+  const auto fail = [&](const std::string& what) {
+    return Error(Errc::truncation, std::string(op) + ": message from rank " +
+                                       std::to_string(from) + " " + what +
+                                       ", expected " +
+                                       std::to_string(in.size()) + " bytes");
+  };
+  Status got;
+  try {
+    got = comm.sendrecv_raw(out, to, tag, in, from, tag);
+  } catch (const Error& e) {
+    if (e.code() != Errc::truncation) throw;
+    throw fail("is too long");
+  }
+  if (got.bytes != in.size()) {
+    throw fail("has " + std::to_string(got.bytes) + " bytes");
+  }
+}
+
+/// Broadcast one self-sized record from `root` in a single binomial pass:
+/// each non-root member takes the message from its parent, checks it and
+/// forwards it unchanged.  Returns the record; its bytes follow the
+/// length header.
+inline std::vector<std::byte> bcast_record(const Comm& comm,
+                                           std::span<const std::byte> bytes,
+                                           rank_t root) {
+  const CollectiveScope scope(comm, "bcast", root, Checker::kUncheckedCount,
+                              1);
+  const tag_t tag = comm.next_collective_tag();
+  const int n = comm.size();
+  const int vr = virtual_rank(comm.rank(), root, n);
+  std::vector<std::byte> wire;
+  int mask = 1;
+  while (mask < n && (vr & mask) == 0) mask <<= 1;
+  if (vr == 0) {
+    append_record(wire, bytes);
+  } else {
+    const int parent = actual_rank(vr - mask, root, n);
+    wire = comm.recv_take_raw(parent, tag).second;
+    std::vector<std::size_t> ends;
+    parse_records(wire, 1, "bcast", parent, 0, ends);
+  }
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    if (vr + mask < n) {
+      comm.send_raw(wire, actual_rank(vr + mask, root, n), tag);
+    }
+  }
+  return wire;
 }
 }  // namespace detail
 
@@ -134,23 +275,24 @@ void bcast_value(const Comm& comm, T& value, rank_t root = 0) {
   bcast(comm, std::span<T>(&value, 1), root);
 }
 
-/// Broadcast a variable-length byte buffer (size first, then payload).
+/// Broadcast a variable-length byte buffer (one self-sized pass).
 inline void bcast_bytes(const Comm& comm, std::vector<std::byte>& bytes,
                         rank_t root = 0) {
-  std::uint64_t size = bytes.size();
-  bcast_value(comm, size, root);
-  if (comm.rank() != root) bytes.resize(size);
-  if (size > 0) bcast(comm, std::span<std::byte>(bytes), root);
+  const std::vector<std::byte> wire = detail::bcast_record(comm, bytes, root);
+  if (comm.rank() != root) {
+    bytes.assign(wire.begin() + sizeof(detail::RecordLength), wire.end());
+  }
 }
 
 /// Broadcast a string (used by MPH to distribute the registration file,
 /// paper §6: "read by the root processor and broadcast to all processors").
 inline void bcast_string(const Comm& comm, std::string& text, rank_t root = 0) {
-  std::uint64_t size = text.size();
-  bcast_value(comm, size, root);
-  if (comm.rank() != root) text.resize(size);
-  if (size > 0) {
-    bcast(comm, std::span<char>(text.data(), text.size()), root);
+  const std::vector<std::byte> wire =
+      detail::bcast_record(comm, std::as_bytes(std::span(text)), root);
+  if (comm.rank() != root) {
+    text.assign(reinterpret_cast<const char*>(wire.data()) +
+                    sizeof(detail::RecordLength),
+                wire.size() - sizeof(detail::RecordLength));
   }
 }
 
@@ -302,18 +444,34 @@ std::vector<T> scatter(const Comm& comm, std::span<const T> values,
   return mine;
 }
 
-/// Allgather equal-size contributions (ring algorithm).
+/// Allgather equal-size contributions (Bruck).  Every block has the same
+/// size, so each round's message size is known: the receive is posted
+/// straight into the result and checked for exactly that size.
 template <Transferable T>
 std::vector<T> allgather(const Comm& comm, std::span<const T> values) {
   const detail::CollectiveScope scope(comm, "allgather", -1, values.size(),
                                       sizeof(T));
   const tag_t tag = comm.next_collective_tag();
+  const int n = comm.size();
+  const int r = comm.rank();
   const std::size_t block = values.size();
-  std::vector<T> result(block * static_cast<std::size_t>(comm.size()));
-  detail::ring_allgather(comm, tag, values, [&](int b) {
-    return std::span<T>(result.data() + static_cast<std::size_t>(b) * block,
-                        block);
-  });
+  std::vector<T> result(block * static_cast<std::size_t>(n));
+  const auto blocks = [&](int first, int count) {
+    return std::as_writable_bytes(std::span<T>(result).subspan(
+        static_cast<std::size_t>(first) * block,
+        static_cast<std::size_t>(count) * block));
+  };
+  // result[i] holds rank (r + i) % n's block until the final rotation.
+  std::copy(values.begin(), values.end(), result.begin());
+  for (int d = 1; d < n; d <<= 1) {
+    const int count = std::min(d, n - d);
+    detail::exchange_exact(comm, tag, "allgather", blocks(0, count),
+                           (r - d + n) % n, blocks(d, count), (r + d) % n);
+  }
+  std::rotate(result.begin(),
+              result.begin() + static_cast<std::ptrdiff_t>(
+                                   static_cast<std::size_t>(n - r) * block),
+              result.end());
   return result;
 }
 
@@ -323,49 +481,46 @@ std::vector<T> allgather_value(const Comm& comm, const T& value) {
   return allgather(comm, std::span<const T>(&value, 1));
 }
 
-/// Allgather variable-size contributions: first allgather the counts, then
-/// exchange payloads along the ring.  `offsets[r]`/`counts[r]` describe
-/// rank r's block in the result.
+/// Allgather variable-size contributions in one self-sized Bruck exchange
+/// (no counts round).  `counts_out[r]` is rank r's element count; the
+/// result holds the blocks in rank order.
 template <Transferable T>
 std::vector<T> allgatherv(const Comm& comm, std::span<const T> values,
                           std::vector<std::size_t>* counts_out = nullptr) {
-  const int n = comm.size();
-  const std::uint64_t my_count = values.size();
-  std::vector<std::uint64_t> counts = allgather_value(comm, my_count);
-
-  const detail::CollectiveScope scope(comm, "allgatherv", -1,
-                                      Checker::kUncheckedCount, sizeof(T));
-  const tag_t tag = comm.next_collective_tag();
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    offsets[static_cast<std::size_t>(i) + 1] =
-        offsets[static_cast<std::size_t>(i)] +
-        static_cast<std::size_t>(counts[static_cast<std::size_t>(i)]);
-  }
-  std::vector<T> result(offsets.back());
-  detail::ring_allgather(comm, tag, values, [&](int b) {
-    const auto i = static_cast<std::size_t>(b);
-    return std::span<T>(result.data() + offsets[i],
-                        static_cast<std::size_t>(counts[i]));
-  });
-  if (counts_out != nullptr) {
-    counts_out->assign(counts.begin(), counts.end());
+  const detail::Gathered all =
+      detail::allgather_records(comm, sizeof(T), std::as_bytes(values));
+  std::vector<T> result;
+  result.reserve(all.wire.size() / sizeof(T));  // blocks plus headers
+  if (counts_out != nullptr) counts_out->clear();
+  for (std::size_t b = 0; b < all.blocks.size(); ++b) {
+    const std::span<const std::byte> block = all.blocks[b];
+    if (block.size() % sizeof(T) != 0) {
+      throw Error(Errc::truncation,
+                  "allgatherv: rank " + std::to_string(b) + " sent " +
+                      std::to_string(block.size()) +
+                      " bytes, not a whole number of " +
+                      std::to_string(sizeof(T)) + "-byte elements");
+    }
+    const std::size_t offset = result.size();
+    result.resize(offset + block.size() / sizeof(T));
+    if (!block.empty()) {
+      std::memcpy(result.data() + offset, block.data(), block.size());
+    }
+    if (counts_out != nullptr) counts_out->push_back(block.size() / sizeof(T));
   }
   return result;
 }
 
-/// Allgather one string per rank (length exchange + byte ring).
+/// Allgather one string per rank: one allgatherv exchange of the bytes.
 inline std::vector<std::string> allgather_strings(const Comm& comm,
                                                   const std::string& mine) {
-  std::vector<std::size_t> counts;
-  std::vector<char> flat = allgatherv(
-      comm, std::span<const char>(mine.data(), mine.size()), &counts);
+  const detail::Gathered all =
+      detail::allgather_records(comm, 1, std::as_bytes(std::span(mine)));
   std::vector<std::string> result;
-  result.reserve(counts.size());
-  std::size_t offset = 0;
-  for (std::size_t c : counts) {
-    result.emplace_back(flat.data() + offset, c);
-    offset += c;
+  result.reserve(all.blocks.size());
+  for (const std::span<const std::byte> block : all.blocks) {
+    result.emplace_back(reinterpret_cast<const char*>(block.data()),
+                        block.size());
   }
   return result;
 }

@@ -10,6 +10,7 @@
 #include "src/minimpi/collectives.hpp"
 #include "src/minimpi/fault.hpp"
 #include "src/minimpi/launcher.hpp"
+#include "tests/mph/mph_test_util.hpp"
 
 namespace {
 
@@ -216,6 +217,71 @@ TEST(EnvelopeFaults, TruncatedPayloadSurfacesAsReceiveError) {
   EXPECT_NE(report.failures.front().what.find("truncation"),
             std::string::npos)
       << report.failures.front().what;
+}
+
+TEST(EnvelopeFaults, TruncatedHandshakeMessageFailsTheJobCleanly) {
+  // SCME setup on the world communicator: the registry broadcast draws
+  // collective tag 0, the signature allgather tag 1.  Cut one message of
+  // each inside its self-sized record; the receiver must fail the job with
+  // a truncation error naming the collective and the sending rank.
+  struct Cut {
+    minimpi::tag_t tag;
+    minimpi::rank_t src, dest;
+    std::size_t keep;
+    const char* op;
+  };
+  for (const Cut& cut : {Cut{minimpi::kCollectiveTagBase, 0, 1, 20, "bcast"},
+                         Cut{minimpi::kCollectiveTagBase + 1, 1, 0, 5,
+                             "allgatherv"}}) {
+    SCOPED_TRACE(cut.op);
+    FaultPlan plan;
+    EnvelopeMatch match;
+    match.context = minimpi::kWorldContext;
+    match.src = cut.src;
+    match.dest = cut.dest;
+    match.tag = cut.tag;
+    plan.truncate(match, cut.keep);
+    const JobReport report = mph::testing::run_mph_job(
+        "BEGIN\natmosphere\nocean\nEND\n",
+        {mph::testing::TestExec{{"atmosphere"}, "", 2, nullptr},
+         mph::testing::TestExec{{"ocean"}, "", 2, nullptr}},
+        {}, with_plan(std::move(plan)));
+    EXPECT_FALSE(report.ok);
+    ASSERT_FALSE(report.failures.empty());
+    const minimpi::RankFailure& cause = report.failures.front();
+    EXPECT_EQ(cause.world_rank, cut.dest);
+    EXPECT_NE(cause.what.find("truncation"), std::string::npos) << cause.what;
+    EXPECT_NE(cause.what.find(std::string(cut.op) + ": message of " +
+                              std::to_string(cut.keep) + " bytes from rank " +
+                              std::to_string(cut.src)),
+              std::string::npos)
+        << cause.what;
+  }
+}
+
+TEST(EnvelopeFaults, TruncatedAllgatherMessageNamesTheCollective) {
+  // Equal blocks: every Bruck message has a known size, checked exactly.
+  FaultPlan plan;
+  EnvelopeMatch match;
+  match.src = 1;
+  match.dest = 0;
+  match.tag = minimpi::kCollectiveTagBase;
+  plan.truncate(match, 10);
+  const JobReport report = minimpi::run_spmd(
+      4,
+      [](const Comm& world, const minimpi::ExecEnv&) {
+        const std::vector<double> mine(2, world.rank());
+        (void)minimpi::allgather(world, std::span<const double>(mine));
+      },
+      with_plan(std::move(plan)));
+  EXPECT_FALSE(report.ok);
+  ASSERT_FALSE(report.failures.empty());
+  EXPECT_EQ(report.failures.front().world_rank, 0);
+  EXPECT_NE(report.first_error().find("truncation"), std::string::npos);
+  EXPECT_NE(report.first_error().find("allgather: message from rank 1 has "
+                                      "10 bytes, expected 16 bytes"),
+            std::string::npos)
+      << report.first_error();
 }
 
 // --- teardown accounting and stats -----------------------------------------

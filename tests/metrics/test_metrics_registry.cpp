@@ -53,7 +53,9 @@ TEST(MetricsHistogram, UpperBoundsMatchBucketEdges) {
                                 std::uint64_t{65536}, std::uint64_t{1} << 38}) {
     const std::size_t b = metrics_histogram_bucket(v);
     EXPECT_LE(v, metrics_histogram_upper(b)) << v;
-    if (b > 0) EXPECT_GT(v, metrics_histogram_upper(b - 1)) << v;
+    if (b > 0) {
+      EXPECT_GT(v, metrics_histogram_upper(b - 1)) << v;
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 // sizes and random data checked against sequential references.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/minimpi/collectives.hpp"
@@ -20,6 +22,54 @@ void run_ok(int nprocs, std::function<void(const Comm&)> entry) {
       options);
   ASSERT_TRUE(report.ok) << report.abort_reason << " / "
                          << report.first_error();
+}
+
+/// Messages the whole job sent while every rank ran `entry` once.
+std::uint64_t job_messages(int nprocs,
+                           std::function<void(const Comm&)> entry) {
+  JobOptions options;
+  options.recv_timeout = std::chrono::seconds(60);
+  const JobReport report = run_spmd(
+      nprocs, [&](const Comm& world, const ExecEnv&) { entry(world); },
+      options);
+  EXPECT_TRUE(report.ok) << report.abort_reason << " / "
+                         << report.first_error();
+  return report.stats.messages;
+}
+
+/// ⌈log2 n⌉: the number of Bruck rounds over n ranks.
+std::uint64_t ceil_log2(int n) {
+  std::uint64_t rounds = 0;
+  for (int d = 1; d < n; d <<= 1) ++rounds;
+  return rounds;
+}
+
+/// Rank r's string in the order tests: rank 0 and every third rank send
+/// nothing, rank 1 one 64 KiB block, the rest a short rank-specific text.
+std::string ordered_string(int r) {
+  if (r % 3 == 0) return {};
+  if (r == 1) {
+    std::string big(64 * 1024, '\0');
+    for (std::size_t i = 0; i < big.size(); ++i) {
+      big[i] = static_cast<char>('a' + i % 26);
+    }
+    return big;
+  }
+  return "rank" + std::string(static_cast<std::size_t>(r), '#') +
+         std::to_string(r);
+}
+
+/// Rank r's allgatherv block: r ints (none on rank 0), except that the
+/// last of several ranks sends 64 KiB.
+std::vector<int> ordered_block(int r, int n) {
+  const std::size_t count = (n > 1 && r == n - 1)
+                                ? 64 * 1024 / sizeof(int)
+                                : static_cast<std::size_t>(r);
+  std::vector<int> block(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    block[i] = r * 100000 + static_cast<int>(i);
+  }
+  return block;
 }
 }  // namespace
 
@@ -196,6 +246,162 @@ TEST_P(CollectiveSweep, StringBroadcastAndAllgather) {
       EXPECT_EQ(all[static_cast<std::size_t>(r)], "comp" + std::to_string(r));
     }
   });
+}
+
+/// Bruck exchange and one-pass broadcast: order and exact message counts,
+/// including n = 1, primes and the partial last round of a
+/// non-power-of-two n.
+class SelfSizedSweep : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SelfSizedSweep,
+                         ::testing::Values(1, 2, 3, 5, 7, 8, 16));
+
+TEST_P(SelfSizedSweep, AllgatherStringsInRankOrderWithBruckCount) {
+  const int n = GetParam();
+  const std::uint64_t messages = job_messages(n, [n](const Comm& world) {
+    const std::vector<std::string> all =
+        allgather_strings(world, ordered_string(world.rank()));
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r) {
+      EXPECT_EQ(all[static_cast<std::size_t>(r)], ordered_string(r))
+          << "block " << r << " on rank " << world.rank();
+    }
+  });
+  EXPECT_EQ(messages, static_cast<std::uint64_t>(n) * ceil_log2(n));
+}
+
+TEST_P(SelfSizedSweep, AllgathervInRankOrderWithBruckCount) {
+  const int n = GetParam();
+  const std::uint64_t messages = job_messages(n, [n](const Comm& world) {
+    const std::vector<int> mine = ordered_block(world.rank(), n);
+    std::vector<std::size_t> counts;
+    const std::vector<int> all =
+        allgatherv(world, std::span<const int>(mine), &counts);
+    ASSERT_EQ(counts.size(), static_cast<std::size_t>(n));
+    std::size_t offset = 0;
+    for (int r = 0; r < n; ++r) {
+      const std::vector<int> expect = ordered_block(r, n);
+      ASSERT_EQ(counts[static_cast<std::size_t>(r)], expect.size());
+      ASSERT_LE(offset + expect.size(), all.size());
+      EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                             all.begin() + static_cast<std::ptrdiff_t>(offset)))
+          << "block " << r << " on rank " << world.rank();
+      offset += expect.size();
+    }
+    EXPECT_EQ(all.size(), offset);
+  });
+  EXPECT_EQ(messages, static_cast<std::uint64_t>(n) * ceil_log2(n));
+}
+
+TEST_P(SelfSizedSweep, AllgatherInRankOrderWithBruckCount) {
+  const int n = GetParam();
+  const std::uint64_t messages = job_messages(n, [n](const Comm& world) {
+    const std::vector<double> mine{world.rank() + 0.25, world.rank() + 0.5,
+                                   world.rank() + 0.75};
+    const std::vector<double> all =
+        allgather(world, std::span<const double>(mine));
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(3 * n));
+    for (int r = 0; r < n; ++r) {
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(all[static_cast<std::size_t>(3 * r + i)],
+                  r + 0.25 * (i + 1));
+      }
+    }
+    EXPECT_TRUE(allgather(world, std::span<const double>()).empty());
+  });
+  // Two allgathers, the second of empty blocks.
+  EXPECT_EQ(messages, 2 * static_cast<std::uint64_t>(n) * ceil_log2(n));
+}
+
+TEST_P(SelfSizedSweep, BcastStringIsOnePassOfOneMessagePerMember) {
+  const int n = GetParam();
+  for (const std::string& text :
+       {std::string(), ordered_string(1), std::string("BEGIN\nocean\nEND\n")}) {
+    const rank_t root = n - 1;
+    const std::uint64_t messages =
+        job_messages(n, [&text, root](const Comm& world) {
+          std::string got = world.rank() == root ? text : "stale";
+          bcast_string(world, got, root);
+          EXPECT_EQ(got, text) << "on rank " << world.rank();
+          std::vector<std::byte> bytes(
+              world.rank() == root ? text.size() : 3);
+          if (world.rank() == root && !text.empty()) {
+            std::memcpy(bytes.data(), text.data(), text.size());
+          }
+          bcast_bytes(world, bytes, root);
+          EXPECT_EQ(std::string(reinterpret_cast<const char*>(bytes.data()),
+                                bytes.size()),
+                    text)
+              << "on rank " << world.rank();
+        });
+    // One bcast_string plus one bcast_bytes.
+    EXPECT_EQ(messages, 2 * static_cast<std::uint64_t>(n - 1))
+        << text.size() << "-byte text";
+  }
+}
+
+TEST(SelfSizedRecords, HostileMessagesThrowTruncationNamingOpAndSource) {
+  // Well-formed: two records, 3 bytes and 0 bytes.
+  std::vector<std::byte> good;
+  detail::append_record(good, std::as_bytes(std::span("abc", 3)));
+  detail::append_record(good, {});
+  std::vector<std::size_t> ends;
+  detail::parse_records(good, 2, "allgatherv", 4, 100, ends);
+  EXPECT_EQ(ends, (std::vector<std::size_t>{111, 119}));
+
+  const auto fails = [](std::vector<std::byte> message, std::size_t records,
+                        const std::string& why) {
+    std::vector<std::size_t> ends;
+    try {
+      detail::parse_records(message, records, "allgatherv", 4, 0, ends);
+      ADD_FAILURE() << "accepted a hostile message: " << why;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::truncation);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("allgatherv"), std::string::npos) << what;
+      EXPECT_NE(what.find("from rank 4"), std::string::npos) << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+  };
+  // Every cut of the good message is short somewhere.
+  for (std::size_t cut = 0; cut < good.size(); ++cut) {
+    const auto end = good.begin() + static_cast<std::ptrdiff_t>(cut);
+    fails(std::vector<std::byte>(good.begin(), end), 2, "bytes from rank 4");
+  }
+  fails(std::vector<std::byte>(good.begin(), good.begin() + 5), 2,
+        "inside the length header of record 1 of 2");
+  fails(std::vector<std::byte>(good.begin(), good.begin() + 10), 2,
+        "too short for record 1 of 2");
+  // A header claiming more than the message holds, up to 2^64 - 1.
+  for (const detail::RecordLength claim :
+       {detail::RecordLength{12}, ~detail::RecordLength{0},
+        ~detail::RecordLength{0} - 7}) {
+    std::vector<std::byte> lying(sizeof claim + 4);
+    std::memcpy(lying.data(), &claim, sizeof claim);
+    fails(lying, 1, "whose header says " + std::to_string(claim));
+  }
+  // Overlong: a whole extra record, or stray bytes after the last one.
+  fails(good, 1, "carries 8 bytes past its last record");
+  std::vector<std::byte> trailing = good;
+  trailing.push_back(std::byte{7});
+  fails(trailing, 2, "carries 1 bytes past its last record");
+}
+
+TEST(SelfSizedRecords, AllgatherRejectsARankWithAnotherCount) {
+  // Without mpicheck nothing compares counts up front; the self-sized
+  // blocks still show the odd one out, on every rank.
+  const JobReport report = run_spmd(3, [](const Comm& world, const ExecEnv&) {
+    const std::vector<double> mine(world.rank() == 2 ? 2 : 1, 1.0);
+    (void)allgather(world, std::span<const double>(mine));
+  });
+  EXPECT_FALSE(report.ok);
+  ASSERT_FALSE(report.failures.empty());
+  EXPECT_NE(report.first_error().find("truncation"), std::string::npos)
+      << report.first_error();
+  EXPECT_NE(report.first_error().find("allgather: "), std::string::npos)
+      << report.first_error();
+  EXPECT_NE(report.first_error().find("rank "), std::string::npos)
+      << report.first_error();
 }
 
 TEST(Collectives, MinLocFindsOwner) {

@@ -18,6 +18,7 @@
 #include "tools/mode_scenarios.hpp"
 
 using namespace mph::proto;
+using mph::proto::testing::golden;
 using mph::proto::testing::shipped_contract;
 
 namespace {
@@ -101,6 +102,10 @@ TEST(ProtoInfer, InferredContractParsesChecksCleanAndConforms) {
   const std::string json = record_mode("scme");
   const ObservedTrace trace = read_trace_ops(json);
   const std::string text = infer_contract_text(trace, "inferred_scme");
+  // Setup collectives (registry bcast, signature allgather, splits) run in
+  // phase spans that inference skips, so how they are implemented never
+  // changes the inferred contract.
+  EXPECT_EQ(text, golden("inferred_scme.txt"));
 
   // The inferred text must be valid contract grammar…
   const Contract contract = parse_contract(text, "inferred.mphc");

@@ -30,7 +30,7 @@ struct Row {
   std::uint64_t blocked_ns = 0;
   std::uint64_t queue_depth = 0;
   std::uint64_t faults = 0;
-  minimpi::HistogramData latency;
+  minimpi::HistogramData latency{};
 };
 
 minimpi::MetricsSnapshot make_snap(std::uint64_t seq,
