@@ -1,12 +1,13 @@
 // racer/engine.cpp — exploration engine implementation.  See engine.hpp for
-// the architecture and model.hpp for the memory-model fragment.
+// the architecture, model.hpp for the memory-model fragment and
+// util/decision_tree.hpp for the exploration core.
 #include "src/minimpi/racer/engine.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <utility>
 
-#include "src/util/json.hpp"
+#include "src/util/decision_tree.hpp"
 
 namespace minimpi::racer {
 
@@ -60,6 +61,7 @@ class ScopedEngine {
 }
 
 constexpr std::size_t kMaxEvents = 4096;
+constexpr std::string_view kTraceKind = "mph_racer_trace";
 constexpr auto kQuiescenceTimeout = std::chrono::seconds(10);
 
 }  // namespace
@@ -75,48 +77,31 @@ Engine::~Engine() = default;
 RacerReport Engine::explore(const std::string& name,
                             const std::function<void()>& body,
                             const RacerOptions& options) {
-  stack_.clear();
-  return run_loop(name, body, options, /*replay_mode=*/false);
+  return run(name, body, options,
+             mph::util::DecisionTree(
+                 options.max_executions,
+                 std::chrono::milliseconds(options.budget_ms)));
 }
 
 RacerReport Engine::replay(const std::string& name,
                            const std::function<void()>& body,
                            const RacerOptions& options,
                            std::vector<Decision> schedule) {
-  stack_ = std::move(schedule);
-  return run_loop(name, body, options, /*replay_mode=*/true);
+  return run(name, body, options, mph::util::DecisionTree(std::move(schedule)));
 }
 
-RacerReport Engine::run_loop(const std::string& name,
-                             const std::function<void()>& body,
-                             const RacerOptions& options, bool replay_mode) {
+RacerReport Engine::run(const std::string& name,
+                        const std::function<void()>& body,
+                        const RacerOptions& options,
+                        mph::util::DecisionTree tree) {
   opt_ = options;
-  replay_mode_ = replay_mode;
-  report_ = RacerReport{};
-  report_.litmus = name;
-  pruned_accum_ = 0;
+  tree_ = std::move(tree);
+  RacerReport report;
+  report.litmus = name;
   engine_error_.clear();
-
-  const auto start = std::chrono::steady_clock::now();
   ScopedEngine guard(this);
 
-  for (;;) {
-    if (opt_.max_executions != 0 &&
-        report_.executions + report_.redundant >= opt_.max_executions) {
-      report_.exec_budget_exhausted = true;
-      break;
-    }
-    if (opt_.budget_ms != 0) {
-      const auto elapsed =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      if (static_cast<std::uint64_t>(elapsed) >= opt_.budget_ms) {
-        report_.time_budget_exhausted = true;
-        break;
-      }
-    }
-
+  for (bool more = true; more;) {
     reset_execution();
     bool failed = false;
     std::string reason;
@@ -128,50 +113,26 @@ RacerReport Engine::run_loop(const std::string& name,
     }
     // RacerError and non-litmus exceptions propagate: they void the whole
     // exploration rather than counting as counterexamples.
-
-    if (!divergence_.empty()) {
-      report_.divergence = divergence_;
-      break;
+    if (sleep_blocked_) ++report.redundant;
+    more = tree_.end_run(failed);
+    if (failed && tree_.status().divergence.empty()) {
+      report.failed = true;
+      report.failure_reason = reason;
+      report.failure_decisions = tree_.path();
+      report.failure_events = events_;
     }
-    if (sleep_blocked_) {
-      ++report_.redundant;
-    } else {
-      ++report_.executions;
-    }
-    if (failed) {
-      report_.failed = true;
-      report_.failure_reason = reason;
-      report_.failure_decisions = stack_;
-      report_.failure_events = events_;
-      break;
-    }
-    if (replay_mode_) {
-      report_.complete = true;
-      break;
-    }
-
-    // Backtrack: drop exhausted suffix, advance the deepest open decision.
-    while (!stack_.empty() &&
-           stack_.back().chosen + 1 >= stack_.back().options) {
-      stack_.pop_back();
-    }
-    if (stack_.empty()) {
-      report_.complete = true;
-      break;
-    }
-    ++stack_.back().chosen;
   }
 
-  std::uint64_t remaining = 0;
-  for (const Decision& d : stack_) {
-    remaining += static_cast<std::uint64_t>(d.options - d.chosen - 1);
-  }
-  report_.frontier_lower_bound =
-      report_.executions + report_.redundant + remaining + pruned_accum_;
-  report_.pruned_preemptions = pruned_accum_;
-
+  const mph::util::DecisionTree::Status& status = tree_.status();
+  report.executions = status.runs - report.redundant;
+  report.frontier_lower_bound = tree_.frontier();
+  report.pruned_preemptions = status.pruned;
+  report.complete = status.complete;
+  report.exec_budget_exhausted = status.run_budget_exhausted;
+  report.time_budget_exhausted = status.time_budget_exhausted;
+  report.divergence = status.divergence;
   if (!engine_error_.empty()) throw RacerError(engine_error_);
-  return report_;
+  return report;
 }
 
 void Engine::reset_execution() {
@@ -196,8 +157,6 @@ void Engine::reset_execution() {
   steps_ = 0;
   drain_ = false;
   sleep_blocked_ = false;
-  divergence_.clear();
-  cursor_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -365,8 +324,8 @@ int Engine::pick_thread() {
   for (std::size_t i = 0; i < awake.size(); ++i) {
     note += (i == 0 ? " t" : "|t") + std::to_string(awake[i]);
   }
-  int k = decide('t', static_cast<int>(awake.size()), pruned, std::move(note));
-  if (k < 0 || k >= static_cast<int>(awake.size())) k = 0;
+  const int k =
+      decide('t', static_cast<int>(awake.size()), pruned, std::move(note));
   for (int i = 0; i < k; ++i) {
     sleeping_.insert(awake[static_cast<std::size_t>(i)]);
   }
@@ -391,37 +350,14 @@ void Engine::wake_dependent(const PendingOp& applied) {
 // Decisions
 
 int Engine::decide(char kind, int options, int pruned, std::string note) {
-  if (drain_) return 0;
-  if (options <= 1 && pruned == 0) return 0;
-  if (cursor_ < stack_.size()) {
-    Decision& d = stack_[cursor_];
-    if (d.kind != kind || d.options != options) {
-      divergence_ = "decision " + std::to_string(cursor_) + " diverged: " +
-                    "recorded kind '" + std::string(1, d.kind) + "' with " +
-                    std::to_string(d.options) + " option(s), execution hit '" +
-                    std::string(1, kind) + "' with " +
-                    std::to_string(options) + " (" + note + ")";
-      drain_ = true;
-      return 0;
-    }
-    ++cursor_;
-    if (d.chosen < 0 || d.chosen >= options) {
-      divergence_ = "decision " + std::to_string(cursor_ - 1) +
-                    " chose option " + std::to_string(d.chosen) + " of " +
-                    std::to_string(options) + " (" + note + ")";
-      drain_ = true;
-      return 0;
-    }
-    return d.chosen;
-  }
-  if (replay_mode_) return 0;  // beyond the schedule: natural execution
-  stack_.push_back(Decision{kind, 0, options, pruned, std::move(note)});
-  pruned_accum_ += static_cast<std::uint64_t>(pruned);
-  ++cursor_;
-  if (stack_.size() > report_.max_decision_depth) {
-    report_.max_decision_depth = stack_.size();
-  }
-  return 0;
+  if (drain_ || (options <= 1 && pruned == 0)) return 0;
+  const std::uint32_t k = tree_.decide(
+      Decision{0, static_cast<std::uint32_t>(options),
+               static_cast<std::uint32_t>(pruned), std::string(1, kind),
+               std::move(note)});
+  // A diverged execution runs out deterministically, deciding nothing.
+  drain_ = !tree_.status().divergence.empty();
+  return static_cast<int>(k);
 }
 
 // ---------------------------------------------------------------------------
@@ -432,7 +368,6 @@ int Engine::touch(const void* obj, std::uint64_t initial) {
   if (it != loc_index_.end()) return it->second;
   const int id = static_cast<int>(locations_.size());
   Location loc;
-  loc.obj = obj;
   auto nit = pending_names_.find(obj);
   loc.name = nit != pending_names_.end() ? nit->second
                                          : "a" + std::to_string(id);
@@ -512,8 +447,7 @@ void Engine::do_load(int tid, PendingOp& op, int loc_id) {
   Location& loc = locations_[static_cast<std::size_t>(loc_id)];
   const int floor = load_floor(thr, loc_id, op.order);
   const int n = static_cast<int>(loc.mo.size()) - floor;
-  int k = decide('r', n, 0, loc.name);
-  if (k < 0 || k >= n) k = 0;
+  const int k = decide('r', n, 0, loc.name);
   const int idx = static_cast<int>(loc.mo.size()) - 1 - k;
   const Store& s = loc.mo[static_cast<std::size_t>(idx)];
   if (is_acquire(op.order)) thr.clock.join(s.release);
@@ -524,44 +458,46 @@ void Engine::do_load(int tid, PendingOp& op, int loc_id) {
                         ")");
 }
 
-void Engine::do_store(int tid, PendingOp& op, int loc_id) {
+std::uint64_t Engine::write(int tid, int loc_id, std::uint64_t value,
+                            Mo order, bool rmw) {
   auto& thr = threads_[static_cast<std::size_t>(tid)];
   Location& loc = locations_[static_cast<std::size_t>(loc_id)];
+  const Store prev = loc.mo.back();
   Store s;
-  s.value = op.operand;
+  s.value = value;
   s.tid = tid;
   s.seq = thr.clock.c[static_cast<std::size_t>(tid)];
-  s.sc = op.order == Mo::seq_cst;
-  if (is_release(op.order)) s.release = thr.clock;
+  s.sc = order == Mo::seq_cst;
+  if (rmw) {
+    // An RMW is atomic: it reads the newest store in mo and continues its
+    // release sequence.
+    if (is_acquire(order)) thr.clock.join(prev.release);
+    s.release = prev.release;
+    if (is_release(order)) s.release.join(thr.clock);
+  } else if (is_release(order)) {
+    s.release = thr.clock;
+  }
   loc.mo.push_back(s);
   const int idx = static_cast<int>(loc.mo.size()) - 1;
   set_observed(thr, loc_id, idx);
   if (s.sc) loc.last_sc_store = idx;
+  return prev.value;
+}
+
+void Engine::do_store(int tid, PendingOp& op, int loc_id) {
+  (void)write(tid, loc_id, op.operand, op.order, false);
+  const Location& loc = locations_[static_cast<std::size_t>(loc_id)];
   record_event(tid, "store " + loc.name + " = " + std::to_string(op.operand) +
                         " " + mo_name(op.order));
 }
 
 void Engine::do_rmw(int tid, PendingOp& op, int loc_id) {
-  auto& thr = threads_[static_cast<std::size_t>(tid)];
-  Location& loc = locations_[static_cast<std::size_t>(loc_id)];
-  // An RMW is atomic: it always reads the newest store in mo.
-  const Store prev = loc.mo.back();
-  if (is_acquire(op.order)) thr.clock.join(prev.release);
-  Store s;
-  s.value = eval_rmw(op.rop, prev.value, op.operand, op.width);
-  s.tid = tid;
-  s.seq = thr.clock.c[static_cast<std::size_t>(tid)];
-  s.sc = op.order == Mo::seq_cst;
-  s.rmw = true;
-  s.release = prev.release;  // RMWs continue the release sequence
-  if (is_release(op.order)) s.release.join(thr.clock);
-  loc.mo.push_back(s);
-  const int idx = static_cast<int>(loc.mo.size()) - 1;
-  set_observed(thr, loc_id, idx);
-  if (s.sc) loc.last_sc_store = idx;
-  op.result = prev.value;
-  record_event(tid, "rmw " + loc.name + ": " + std::to_string(prev.value) +
-                        " -> " + std::to_string(s.value) + " " +
+  const Location& loc = locations_[static_cast<std::size_t>(loc_id)];
+  const std::uint64_t value =
+      eval_rmw(op.rop, loc.mo.back().value, op.operand, op.width);
+  op.result = write(tid, loc_id, value, op.order, true);
+  record_event(tid, "rmw " + loc.name + ": " + std::to_string(op.result) +
+                        " -> " + std::to_string(value) + " " +
                         mo_name(op.order));
 }
 
@@ -580,26 +516,11 @@ void Engine::do_cas(int tid, PendingOp& op, int loc_id) {
     }
   }
   const int n = (can_succeed ? 1 : 0) + static_cast<int>(fails.size());
-  int k = decide('c', n, 0, "cas " + loc.name);
-  if (k < 0 || k >= n) k = 0;
+  const int k = decide('c', n, 0, "cas " + loc.name);
 
   if (can_succeed && k == 0) {
-    const Store prev = loc.mo.back();
-    if (is_acquire(op.order)) thr.clock.join(prev.release);
-    Store s;
-    s.value = op.operand;
-    s.tid = tid;
-    s.seq = thr.clock.c[static_cast<std::size_t>(tid)];
-    s.sc = op.order == Mo::seq_cst;
-    s.rmw = true;
-    s.release = prev.release;
-    if (is_release(op.order)) s.release.join(thr.clock);
-    loc.mo.push_back(s);
-    const int idx = static_cast<int>(loc.mo.size()) - 1;
-    set_observed(thr, loc_id, idx);
-    if (s.sc) loc.last_sc_store = idx;
     op.cas_ok = true;
-    op.result = prev.value;
+    op.result = write(tid, loc_id, op.operand, op.order, true);
     record_event(tid, "cas " + loc.name + " " + std::to_string(op.expected) +
                           " -> " + std::to_string(op.operand) + " ok " +
                           mo_name(op.order));
@@ -700,7 +621,7 @@ void shim_destroy(Engine& e, const void* obj) noexcept {
     e.execute(op);
   } catch (...) {
     // Destructors must not throw; a pending engine error resurfaces at the
-    // next op or at run_loop exit.
+    // next op or at the end of Engine::run.
   }
 }
 
@@ -764,33 +685,48 @@ std::string RacerReport::summary() const {
   return s;
 }
 
-std::string trace_to_json(const RacerReport& report) {
-  std::string out = "{\n  \"kind\": \"mph_racer_trace\",\n  \"version\": 1,\n";
-  out += "  \"litmus\": \"";
-  mph::util::append_json_escaped(out, report.litmus);
-  out += "\",\n  \"reason\": \"";
-  mph::util::append_json_escaped(out, report.failure_reason);
-  out += "\",\n  \"decisions\": [";
-  for (std::size_t i = 0; i < report.failure_decisions.size(); ++i) {
-    const Decision& d = report.failure_decisions[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"kind\": \"" + std::string(1, d.kind) +
-           "\", \"chosen\": " + std::to_string(d.chosen) +
-           ", \"options\": " + std::to_string(d.options) +
-           ", \"pruned\": " + std::to_string(d.pruned) + ", \"note\": \"";
-    mph::util::append_json_escaped(out, d.note);
-    out += "\"}";
+std::string write_racer_trace(const RacerReport& report) {
+  std::vector<std::string> events;
+  for (const StepEvent& ev : report.failure_events) {
+    events.push_back("{\"tid\": " + std::to_string(ev.tid) +
+                     ", \"text\": " + mph::util::json_quoted(ev.text) + "}");
   }
-  out += "\n  ],\n  \"events\": [";
-  for (std::size_t i = 0; i < report.failure_events.size(); ++i) {
-    const StepEvent& ev = report.failure_events[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"tid\": " + std::to_string(ev.tid) + ", \"text\": \"";
-    mph::util::append_json_escaped(out, ev.text);
-    out += "\"}";
+  std::vector<std::string> decisions;
+  for (const Decision& d : report.failure_decisions) {
+    decisions.push_back(
+        "{\"kind\": " + mph::util::json_quoted(d.shape) +
+        ", \"chosen\": " + std::to_string(d.chosen) +
+        ", \"options\": " + std::to_string(d.options) +
+        ", \"pruned\": " + std::to_string(d.pruned) +
+        ", \"note\": " + mph::util::json_quoted(d.note) + "}");
   }
-  out += "\n  ]\n}\n";
-  return out;
+  return mph::util::write_trace(
+      kTraceKind,
+      {{"litmus", mph::util::json_quoted(report.litmus)},
+       {"reason", mph::util::json_quoted(report.failure_reason)},
+       {"events", mph::util::json_lines(events)}},
+      decisions);
+}
+
+RacerTrace read_racer_trace(const std::string& text) {
+  RacerTrace trace;
+  mph::util::read_trace(
+      text, kTraceKind,
+      [&](mph::util::JsonFields& header) {
+        header.get("litmus", trace.litmus);
+        std::string reason;  // informational, like the events
+        header.get("reason", reason);
+        if (const auto* events = header.take("events")) (void)events->items();
+      },
+      [&](mph::util::JsonFields& fields) {
+        Decision& d = trace.decisions.emplace_back();
+        fields.get("kind", d.shape);
+        fields.get("chosen", d.chosen);
+        fields.get("options", d.options);
+        fields.get("pruned", d.pruned);
+        fields.get("note", d.note);
+      });
+  return trace;
 }
 
 }  // namespace minimpi::racer

@@ -1,15 +1,18 @@
 // racer/engine.hpp — the mph_racer exploration engine.
 //
-// Stateless model checking in the mph_verify idiom (DESIGN.md §10), applied
-// one layer down: instead of exploring wildcard-match decisions, the engine
-// explores every branch point of a small multi-threaded litmus body —
-// which runnable thread takes the next atomic step (with CHESS-style
-// preemption bounding and DPOR-style sleep sets), which store each load
-// reads from under the memory model in model.hpp, and whether each CAS
-// succeeds or fails (and against which store).  Executions are replayed
-// from a decision prefix, budgets report "explored N of >= M" via a
-// frontier lower bound, and a failing execution is captured as a JSON
-// trace that `tools/mph_racer --schedule` replays to the same failure.
+// Stateless model checking on the same core as mph_verify
+// (util::DecisionTree, DESIGN.md §10 and §14), applied one layer down:
+// instead of wildcard-match decisions, the engine feeds the tree every
+// branch point of a small multi-threaded litmus body — which runnable
+// thread takes the next atomic step, which store each load reads from
+// under the memory model in model.hpp, and whether each CAS succeeds or
+// fails (and against which store).  The tree owns the decision stack,
+// replay-from-prefix, divergence, budgets and the "explored N of >= M"
+// frontier; the engine keeps the memory model, the DPOR-style sleep sets
+// and the CHESS-style preemption bound (whose pruned switches the tree
+// counts in the frontier).  A failing execution is captured as a JSON
+// trace in the tree's envelope that `tools/mph_racer --schedule` replays
+// to the same failure.
 //
 // Litmus bodies run on real std::threads coordinated by a turnstile: every
 // mph::atomic operation parks the thread and announces a PendingOp; the
@@ -28,6 +31,7 @@
     "racer/engine.hpp requires -DMPH_RACER=1 (link minimpi_racer, not minimpi)"
 #endif
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -77,7 +81,6 @@ struct RacerReport {
   std::uint64_t redundant = 0;   ///< sleep-set-blocked executions drained
   std::uint64_t frontier_lower_bound = 0;  ///< ">= M" in "explored N of >= M"
   std::uint64_t pruned_preemptions = 0;  ///< branches cut by the bound
-  std::uint64_t max_decision_depth = 0;
   bool complete = false;  ///< frontier exhausted (within the preemption bound)
   bool exec_budget_exhausted = false;
   bool time_budget_exhausted = false;
@@ -95,8 +98,20 @@ struct RacerReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Serialize a failing report as a replayable JSON counterexample trace.
-[[nodiscard]] std::string trace_to_json(const RacerReport& report);
+/// A dumped counterexample: the litmus it belongs to and its schedule.
+struct RacerTrace {
+  std::string litmus;
+  std::vector<Decision> decisions;
+};
+
+/// A failing report as a replayable counterexample in the shared envelope
+/// (util/decision_tree.hpp, kind "mph_racer_trace"): the litmus and the
+/// failure reason, the applied-op log, then the decisions.
+[[nodiscard]] std::string write_racer_trace(const RacerReport& report);
+
+/// Read a dumped counterexample through the shared strict reader; throws
+/// std::runtime_error naming the bad key or value.
+[[nodiscard]] RacerTrace read_racer_trace(const std::string& text);
 
 class Engine {
  public:
@@ -111,9 +126,10 @@ class Engine {
                       const std::function<void()>& body,
                       const RacerOptions& options);
 
-  /// Run exactly one execution following `schedule` (a decision stack from
-  /// a counterexample trace).  Decisions beyond the schedule default to
-  /// option 0; mismatching branch shapes are reported as divergence.
+  /// Run exactly one execution with every decision of `schedule` (from a
+  /// counterexample trace) forced.  Mismatching branch shapes, and an
+  /// execution that needs more or fewer decisions than the schedule
+  /// holds, are reported as divergence.
   RacerReport replay(const std::string& name,
                      const std::function<void()>& body,
                      const RacerOptions& options,
@@ -177,6 +193,10 @@ class Engine {
   void do_load(int tid, PendingOp& op, int loc_id);
   void do_store(int tid, PendingOp& op, int loc_id);
   void do_rmw(int tid, PendingOp& op, int loc_id);
+  /// Append `tid`'s write of `value` to the location's modification order;
+  /// returns the value of the store it follows (what an RMW read).
+  std::uint64_t write(int tid, int loc_id, std::uint64_t value, Mo order,
+                      bool rmw);
   void do_cas(int tid, PendingOp& op, int loc_id);
   void wake_dependent(const PendingOp& applied);
   int decide(char kind, int options, int pruned, std::string note);
@@ -186,9 +206,8 @@ class Engine {
   void record_event(int tid, std::string text);
   void model_error(std::string what);
 
-  RacerReport run_loop(const std::string& name,
-                       const std::function<void()>& body,
-                       const RacerOptions& options, bool replay_mode);
+  RacerReport run(const std::string& name, const std::function<void()>& body,
+                  const RacerOptions& options, mph::util::DecisionTree tree);
   void reset_execution();
 
   // --- turnstile ---
@@ -211,16 +230,11 @@ class Engine {
   std::uint64_t steps_ = 0;
   bool drain_ = false;         ///< stop branching, run out deterministically
   bool sleep_blocked_ = false; ///< this execution is a sleep-set redundancy
-  std::string divergence_;
   std::string engine_error_;
 
   // --- exploration state ---
-  std::vector<Decision> stack_;
-  std::size_t cursor_ = 0;
-  std::uint64_t pruned_accum_ = 0;
-  bool replay_mode_ = false;
+  mph::util::DecisionTree tree_{0, std::chrono::milliseconds(0)};
   RacerOptions opt_;
-  RacerReport report_;
 };
 
 /// The engine driving this thread, if any (set for the litmus body and its

@@ -23,7 +23,7 @@
 //     modeled (the lock-free layer uses none; the lint keeps it that way).
 //
 // Everything here is plain data; the exploration machinery lives in
-// engine.hpp/engine.cpp.
+// engine.hpp/engine.cpp over the shared util::DecisionTree.
 #pragma once
 
 #include <array>
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/minimpi/racer/atomic.hpp"
+#include "src/util/decision_tree.hpp"
 
 namespace minimpi::racer {
 
@@ -56,7 +57,6 @@ struct Store {
   int tid = -1;           ///< writing thread; -1 = prehistory (initial value)
   std::uint32_t seq = 0;  ///< writer's clock component at the store
   bool sc = false;        ///< memory_order_seq_cst store
-  bool rmw = false;       ///< produced by a read-modify-write
   Clock release;          ///< clock an acquire load of this store joins
 };
 
@@ -68,21 +68,17 @@ struct Store {
 
 /// One atomic object the execution has touched.
 struct Location {
-  const void* obj = nullptr;
   std::string name;        ///< "a<N>" by first touch, or racer::name_location
   std::vector<Store> mo;   ///< modification order; [0] is the initial store
   int last_sc_store = 0;   ///< mo index of the latest seq_cst store (0: none)
 };
 
-/// One recorded branch point of an execution.  The stack of Decisions is
-/// the schedule: replaying the same stack reproduces the same execution.
-struct Decision {
-  char kind = 't';  ///< 't' thread choice, 'r' reads-from, 'c' cas outcome
-  int chosen = 0;   ///< option taken in this execution
-  int options = 1;  ///< how many options existed
-  int pruned = 0;   ///< options excluded by the preemption bound
-  std::string note; ///< location / candidate summary, for human-read traces
-};
+/// One recorded branch point of an execution: a util::DecisionTree Branch
+/// whose shape is 't' (thread choice), 'r' (reads-from) or 'c' (CAS
+/// outcome) and whose note names the location or the candidate threads.
+/// The stack of Decisions is the schedule: replaying the same stack
+/// reproduces the same execution.
+using Decision = mph::util::Branch;
 
 /// One applied atomic operation, pre-formatted for counterexample traces.
 struct StepEvent {

@@ -11,11 +11,12 @@
 // in program order), collectives are built on exact-source traffic, and
 // all job randomness flows from the recorded seed.
 //
-// The on-disk format is a small JSON document, written here and read back
-// through util::JsonValue:
+// The on-disk format is the counterexample envelope both explorers share
+// (util/decision_tree.hpp), written and read back through util::JsonValue:
 //
 //   {
-//     "version": 1,
+//     "kind": "mph_verify_trace",
+//     "version": 2,
 //     "seed": 42,
 //     "decisions": [
 //       {"step": 0, "rank": 2, "op": "recv", "context": 0, "tag": 7,
@@ -23,6 +24,8 @@
 //       ...
 //     ]
 //   }
+//
+// A version 1 dump (no "kind") is rejected by its version; re-dump it.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "src/minimpi/types.hpp"
+#include "src/util/decision_tree.hpp"
 
 namespace minimpi::verify {
 
@@ -50,6 +54,11 @@ struct Decision {
   bool immediate = false;
 
   [[nodiscard]] bool operator==(const Decision&) const = default;
+
+  /// The exploration tree's view of a fenced decision: the index of
+  /// `chose` (candidates.size() when absent) among the candidate set a
+  /// replay must see again.
+  [[nodiscard]] mph::util::Branch branch() const;
 };
 
 /// A complete schedule: the job seed plus every decision, in order.
@@ -64,7 +73,7 @@ struct Trace {
 
   /// Parse a dumped trace.  Throws Error(Errc::invalid_argument) on
   /// malformed input: JSON syntax errors name their line and column, and
-  /// unknown keys, a version other than 1 and out-of-range integers are
+  /// unknown keys, another kind or version and out-of-range integers are
   /// rejected by name.
   [[nodiscard]] static Trace from_json(const std::string& text);
 
@@ -74,5 +83,12 @@ struct Trace {
   [[nodiscard]] std::string to_string(
       const std::function<std::string(rank_t)>& label = {}) const;
 };
+
+/// "<label>[R]" for reports, "rank[R]" when `label` names nothing.
+[[nodiscard]] std::string rank_name(
+    const std::function<std::string(rank_t)>& label, rank_t rank);
+
+/// A tag for reports: "*" for any_tag.
+[[nodiscard]] std::string tag_name(tag_t tag);
 
 }  // namespace minimpi::verify

@@ -7,37 +7,22 @@
 #include <sstream>
 #include <utility>
 
+#include "src/util/decision_tree.hpp"
 #include "src/util/rng.hpp"
 
 namespace minimpi::verify {
 
 namespace {
 
-/// DFS stack entry: one fenced decision of the current prefix, plus which
-/// alternative of its candidate set is (or will be) explored.
-struct Frame {
-  Decision decision;            ///< as first observed (candidates binding)
-  std::size_t chosen_index = 0; ///< index into decision.candidates
-};
-
-bool contains(const std::vector<rank_t>& xs, rank_t x) noexcept {
-  return std::find(xs.begin(), xs.end(), x) != xs.end();
-}
-
-/// Does this report describe a failing schedule?
-bool failing(const JobReport& report) {
-  if (!report.ok) return true;
-  if (report.check.has_value()) {
-    const CheckReport& c = *report.check;
-    if (!c.deadlocks.empty() || !c.type_mismatches.empty() ||
-        !c.collective_mismatches.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::string failure_reason(const JobReport& report) {
+/// Why a schedule failed: the job failed, or a checker found something.
+/// Empty when it passed.
+std::string failure_of(const JobReport& report) {
+  const CheckReport* check = report.check ? &*report.check : nullptr;
+  const bool check_failed =
+      check != nullptr &&
+      (!check->deadlocks.empty() || !check->type_mismatches.empty() ||
+       !check->collective_mismatches.empty());
+  if (report.ok && !check_failed) return "";
   if (report.abort.has_value()) return report.abort->to_string();
   for (const RankFailure& f : report.failures) {
     if (!f.operation.empty()) {
@@ -46,9 +31,7 @@ std::string failure_reason(const JobReport& report) {
     }
   }
   if (!report.abort_reason.empty()) return report.abort_reason;
-  if (report.check.has_value() && !report.check->clean()) {
-    return report.check->to_string();
-  }
+  if (check != nullptr && !check->clean()) return check->to_string();
   if (!report.failures.empty()) return report.failures.front().what;
   return "job failed";
 }
@@ -61,17 +44,49 @@ std::string race_key(const RaceRecord& race) {
   return key.str();
 }
 
-JobOptions with_verify_defaults(JobOptions job, std::uint64_t seed,
-                                std::shared_ptr<Scheduler> scheduler) {
-  job.scheduler = std::move(scheduler);
-  job.seed = seed != 0 ? seed : 1;
+/// One schedule: the job as run, the decisions it took, its races.
+struct Schedule {
+  JobReport report;
+  Trace trace;
+  std::vector<RaceRecord> races;
+  std::string failure;  ///< failure_of(report)
+};
+
+/// Run the job once under a VerifyScheduler whose fenced decisions come
+/// from `tree`; immediate ones take their first candidate.
+Schedule run_schedule(const JobRunner& run, const JobOptions& base,
+                      std::uint64_t seed, mph::util::DecisionTree& tree) {
+  Schedule out;
+  out.trace.seed = seed;
+  // Fenced decisions arrive on the monitor thread, immediate ones on rank
+  // threads: one lock keeps the tree and the trace in decision order.
+  std::mutex decision_mutex;
+  auto scheduler = std::make_shared<VerifyScheduler>(
+      [&](const DecisionPoint& point) {
+        const std::lock_guard<std::mutex> lock(decision_mutex);
+        Decision d{point.owner, point.op, point.context, point.tag,
+                   point.candidates.front(), point.candidates,
+                   point.immediate};
+        if (!point.immediate) d.chose = d.candidates[tree.decide(d.branch())];
+        out.trace.decisions.push_back(d);
+        return d.chose;
+      });
+  // Declared after the mutex so that, even when `run` throws, the last
+  // owner of the scheduler (and so its monitor thread) goes first.
+  JobOptions job = base;
+  job.scheduler = scheduler;
+  job.seed = seed;
   // mpicheck is part of the verification oracle: every schedule runs with
   // the deadlock/type/collective checkers armed (the leak audit stays as
   // the caller configured it).
   job.check.deadlock = true;
   job.check.type_matching = true;
   job.check.collectives = true;
-  return job;
+  out.report = run(job);
+  scheduler->stop();
+  out.races = scheduler->races();
+  out.failure = failure_of(out.report);
+  return out;
 }
 
 }  // namespace
@@ -132,121 +147,32 @@ VerifyReport verify(const JobRunner& run, VerifyOptions options) {
   // asks the OS for fresh entropy during exploration throws instead of
   // silently breaking replays.
   const mph::util::ScopedEntropyBan entropy_ban;
-  const auto start = std::chrono::steady_clock::now();
   const std::uint64_t seed = options.seed != 0 ? options.seed : 1;
-
+  mph::util::DecisionTree tree(options.max_schedules, options.budget);
   VerifyReport out;
-  std::vector<Frame> stack;
   std::set<std::string> seen_races;
-  bool pending_alternative = false;  // backtracked but never ran it
-
-  for (;;) {
-    // Per-schedule decision state, fed by the scheduler's monitor thread.
-    std::mutex decision_mutex;
-    std::size_t cursor = 0;
-    Trace trace;
-    trace.seed = seed;
-    bool diverged = false;
-    std::string divergence;
-
-    const auto decide = [&](const DecisionPoint& point) -> rank_t {
-      const std::lock_guard<std::mutex> lock(decision_mutex);
-      rank_t chosen = point.candidates.front();
-      if (!point.immediate) {
-        const std::size_t depth = cursor++;
-        if (depth < stack.size()) {
-          // Replaying the explored prefix: force the frame's alternative.
-          Frame& frame = stack[depth];
-          const rank_t want = frame.decision.candidates[frame.chosen_index];
-          if (frame.decision.candidates != point.candidates &&
-              divergence.empty()) {
-            diverged = true;
-            std::ostringstream note;
-            note << "decision #" << depth << " saw different candidates on "
-                 << "replay (rank " << point.owner << ", context "
-                 << point.context << ", tag " << point.tag
-                 << ") — nondeterminism outside the wildcard decisions";
-            divergence = note.str();
-          }
-          if (contains(point.candidates, want)) {
-            chosen = want;
-          } else if (divergence.empty()) {
-            diverged = true;
-            divergence = "decision #" + std::to_string(depth) +
-                         ": forced sender " + std::to_string(want) +
-                         " is no longer a candidate on replay";
-          }
-        } else {
-          // New territory: take the first alternative, open a frame.
-          Frame frame;
-          frame.decision = Decision{point.owner, point.op, point.context,
-                                    point.tag, chosen, point.candidates,
-                                    false};
-          frame.chosen_index = 0;
-          stack.push_back(std::move(frame));
-        }
-      }
-      trace.decisions.push_back(Decision{point.owner, point.op, point.context,
-                                         point.tag, chosen, point.candidates,
-                                         point.immediate});
-      return chosen;
-    };
-
-    auto scheduler = std::make_shared<VerifyScheduler>(decide);
-    const JobReport report =
-        run(with_verify_defaults(options.job, seed, scheduler));
-    pending_alternative = false;
-    out.schedules_run += 1;
-    out.max_decision_depth =
-        std::max<std::uint64_t>(out.max_decision_depth,
-                                trace.decisions.size());
-    for (const RaceRecord& race : scheduler->races()) {
+  for (bool more = true; more;) {
+    Schedule schedule = run_schedule(run, options.job, seed, tree);
+    const bool failed = !schedule.failure.empty();
+    more = tree.end_run(failed && options.stop_on_failure);
+    out.max_decision_depth = std::max<std::uint64_t>(
+        out.max_decision_depth, schedule.trace.decisions.size());
+    for (const RaceRecord& race : schedule.races) {
       if (seen_races.insert(race_key(race)).second) out.races.push_back(race);
     }
-    scheduler->stop();
-
-    if (diverged) {
-      out.divergence = divergence;
-      break;
-    }
-    if (failing(report)) {
-      out.failures.push_back(ScheduleFailure{out.schedules_run - 1,
-                                             failure_reason(report), trace});
-      if (options.stop_on_failure) break;
-    }
-
-    // Backtrack: drop exhausted frames, advance the deepest open one.
-    while (!stack.empty() &&
-           stack.back().chosen_index + 1 >=
-               stack.back().decision.candidates.size()) {
-      stack.pop_back();
-    }
-    if (stack.empty()) {
-      out.complete = true;
-      break;
-    }
-    stack.back().chosen_index += 1;
-    pending_alternative = true;
-
-    // Budget gates — checked with a branch still pending so the frontier
-    // accounting below can report it as unexplored, never silently drop it.
-    if (options.max_schedules != 0 &&
-        out.schedules_run >= options.max_schedules) {
-      out.schedule_budget_exhausted = true;
-      break;
-    }
-    if (options.budget.count() > 0 &&
-        std::chrono::steady_clock::now() - start >= options.budget) {
-      out.time_budget_exhausted = true;
-      break;
+    if (failed && tree.status().divergence.empty()) {
+      out.failures.push_back(ScheduleFailure{tree.status().runs - 1,
+                                             std::move(schedule.failure),
+                                             std::move(schedule.trace)});
     }
   }
-
-  std::uint64_t open = pending_alternative ? 1 : 0;
-  for (const Frame& frame : stack) {
-    open += frame.decision.candidates.size() - 1 - frame.chosen_index;
-  }
-  out.frontier_lower_bound = out.schedules_run + open;
+  const mph::util::DecisionTree::Status& status = tree.status();
+  out.schedules_run = status.runs;
+  out.frontier_lower_bound = tree.frontier();
+  out.complete = status.complete;
+  out.schedule_budget_exhausted = status.run_budget_exhausted;
+  out.time_budget_exhausted = status.time_budget_exhausted;
+  out.divergence = status.divergence;
   return out;
 }
 
@@ -257,58 +183,16 @@ VerifyReport verify(const JobRunner& run, VerifyOptions options) {
 ReplayResult replay(const JobRunner& run, const Trace& trace,
                     JobOptions job) {
   const mph::util::ScopedEntropyBan entropy_ban;
-  std::vector<Decision> forced;
+  std::vector<mph::util::Branch> forced;
   for (const Decision& d : trace.decisions) {
-    if (!d.immediate) forced.push_back(d);
+    if (!d.immediate) forced.push_back(d.branch());
   }
-
-  ReplayResult result;
-  result.observed.seed = trace.seed != 0 ? trace.seed : 1;
-  std::mutex decision_mutex;
-  std::size_t cursor = 0;
-
-  const auto note_divergence = [&](std::string why) {
-    result.diverged = true;
-    if (result.divergence.empty()) result.divergence = std::move(why);
-  };
-
-  const auto decide = [&](const DecisionPoint& point) -> rank_t {
-    const std::lock_guard<std::mutex> lock(decision_mutex);
-    rank_t chosen = point.candidates.front();
-    if (!point.immediate) {
-      if (cursor < forced.size()) {
-        const Decision& want = forced[cursor];
-        if (want.candidates != point.candidates) {
-          note_divergence("decision #" + std::to_string(cursor) +
-                          " saw different candidates than the trace");
-        }
-        if (contains(point.candidates, want.chose)) {
-          chosen = want.chose;
-        } else {
-          note_divergence("decision #" + std::to_string(cursor) +
-                          ": recorded sender " + std::to_string(want.chose) +
-                          " is not a candidate");
-        }
-      } else {
-        note_divergence("run makes more decisions than the trace records");
-      }
-      ++cursor;
-    }
-    result.observed.decisions.push_back(
-        Decision{point.owner, point.op, point.context, point.tag, chosen,
-                 point.candidates, point.immediate});
-    return chosen;
-  };
-
-  auto scheduler = std::make_shared<VerifyScheduler>(decide);
-  result.report = run(with_verify_defaults(
-      std::move(job), trace.seed != 0 ? trace.seed : 1, scheduler));
-  scheduler->stop();
-  if (!result.diverged && cursor < forced.size()) {
-    note_divergence("run ended after " + std::to_string(cursor) + " of " +
-                    std::to_string(forced.size()) + " recorded decisions");
-  }
-  return result;
+  mph::util::DecisionTree tree(std::move(forced));
+  Schedule schedule = run_schedule(run, job, trace.seed != 0 ? trace.seed : 1,
+                                   tree);
+  (void)tree.end_run();
+  return ReplayResult{std::move(schedule.report), std::move(schedule.trace),
+                      tree.status().divergence, std::move(schedule.failure)};
 }
 
 }  // namespace minimpi::verify

@@ -1,15 +1,20 @@
 // verify.hpp — mph_verify: systematic schedule exploration (stateless
 // model checking) for minimpi/MPH jobs.
 //
-// verify() runs a scenario repeatedly under a VerifyScheduler, exploring
-// the tree of wildcard match decisions depth-first with replay-from-
-// prefix: each run forces the decisions of an explored prefix and takes
-// the first untried alternative at the deepest branch point.  Because the
-// independent-channel reduction already collapses everything except
-// wildcard source choices (see DESIGN.md §10), exhausting this tree
-// covers every reachable matching of the job on the given configuration —
-// which is what turns "the five MPH execution modes pass once" into "the
-// five modes are verified over their matching space on small configs".
+// verify() runs a scenario repeatedly under a VerifyScheduler and feeds
+// its wildcard match decisions to the shared exploration core
+// (util::DecisionTree): depth-first with replay-from-prefix, each run
+// forcing the decisions of an explored prefix and taking the first
+// untried alternative at the deepest branch point.  replay() is the same
+// run with a whole dumped trace forced.  Verify itself keeps only what is
+// specific to messages: the quiescence fence and wildcard candidates
+// (verify_scheduler.hpp), the mpicheck oracle and the vector-clock race
+// classification.  Because the independent-channel reduction already
+// collapses everything except wildcard source choices (see DESIGN.md
+// §10), exhausting this tree covers every reachable matching of the job
+// on the given configuration — which is what turns "the five MPH
+// execution modes pass once" into "the five modes are verified over their
+// matching space on small configs".
 //
 // Budgets are explicit and truncation is never silent: a run that stops
 // early reports "explored N of >= M schedules" with M a sound lower bound
@@ -103,13 +108,15 @@ struct VerifyReport {
 /// Result of replaying one dumped trace.
 struct ReplayResult {
   JobReport report;
-  Trace observed;    ///< the decisions the replay actually took
-  bool diverged = false;
-  std::string divergence;
+  Trace observed;          ///< the decisions the replay actually took
+  std::string divergence;  ///< non-empty: the run left the trace
+  std::string failure;     ///< why the replayed run failed; empty: passed
 };
 
 /// Re-run the scenario forcing the decisions of `trace` (its seed becomes
-/// the job seed).  A faithful replay reproduces the recorded failure.
+/// the job seed).  A faithful replay reproduces the recorded failure; a
+/// run that meets other candidates, or makes more or fewer fenced
+/// decisions than the trace holds, diverged.
 [[nodiscard]] ReplayResult replay(const JobRunner& run, const Trace& trace,
                                   JobOptions job = {});
 

@@ -8,6 +8,7 @@
 
 #include "src/minimpi/job.hpp"
 #include "src/minimpi/mailbox.hpp"
+#include "src/minimpi/verify/trace.hpp"
 #include "src/util/diagnostics.hpp"
 
 namespace minimpi::verify {
@@ -45,20 +46,11 @@ bool any_concurrent(
 
 std::string RaceRecord::to_string(
     const std::function<std::string(rank_t)>& label) const {
-  const auto name = [&](rank_t r) {
-    std::string who = label ? label(r) : std::string{};
-    if (who.empty()) who = "rank";
-    return who + "[" + std::to_string(r) + "]";
-  };
+  const auto name = [&](rank_t r) { return rank_name(label, r); };
   std::ostringstream out;
   out << "wildcard race: " << name(owner) << " " << op
-      << "(ANY_SOURCE) on (context=" << context << ", tag=";
-  if (tag == any_tag) {
-    out << "*";
-  } else {
-    out << tag;
-  }
-  out << ") matchable by {";
+      << "(ANY_SOURCE) on (context=" << context
+      << ", tag=" << tag_name(tag) << ") matchable by {";
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (i != 0) out << ", ";
     out << name(candidates[i]);
@@ -248,12 +240,7 @@ rank_t VerifyScheduler::resolve_immediate(
           RaceRecord{owner, ctx, tag, "iprobe", candidates, true});
     }
   }
-  const rank_t chosen = decide_ ? decide_(point) : candidates.front();
-  if (std::find(candidates.begin(), candidates.end(), chosen) ==
-      candidates.end()) {
-    return candidates.front();
-  }
-  return chosen;
+  return decide_(point);
 }
 
 std::vector<RaceRecord> VerifyScheduler::races() const {
@@ -420,15 +407,9 @@ void VerifyScheduler::try_decide() {
                                     point.candidates,
                                     any_concurrent(candidates[pick])});
       }
-      rank_t chosen =
-          decide_ ? decide_(point) : point.candidates.front();
-      if (std::find(point.candidates.begin(), point.candidates.end(),
-                    chosen) == point.candidates.end()) {
-        chosen = point.candidates.front();
-      }
       RankState& st = ranks_[static_cast<std::size_t>(h.owner)];
       st.has_chosen = true;
-      st.chosen = chosen;
+      st.chosen = decide_(point);
       ++version_;
       cv_.notify_all();
     }

@@ -79,7 +79,8 @@ class VerifyScheduler final : public Scheduler {
  public:
   /// `decide` is the engine's callback: called once per decision point
   /// (from the monitor thread for fenced decisions, from the owning rank's
-  /// thread for immediate ones) and must return one of point.candidates.
+  /// thread for immediate ones) and must return one of point.candidates —
+  /// the exploration tree only ever picks an index below their count.
   using DecideFn = std::function<rank_t(const DecisionPoint&)>;
 
   explicit VerifyScheduler(DecideFn decide);

@@ -355,4 +355,10 @@ void append_json_escaped(std::string& out, std::string_view text) {
   }
 }
 
+std::string json_quoted(std::string_view text) {
+  std::string out = "\"";
+  append_json_escaped(out, text);
+  return out + "\"";
+}
+
 }  // namespace mph::util

@@ -75,4 +75,7 @@ class JsonValue {
 /// and control characters escaped, everything else (UTF-8) verbatim.
 void append_json_escaped(std::string& out, std::string_view text);
 
+/// `text` as a complete JSON string, quotes included.
+[[nodiscard]] std::string json_quoted(std::string_view text);
+
 }  // namespace mph::util

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "src/minimpi/racer/engine.hpp"
@@ -301,9 +302,21 @@ TEST(RacerEngine, TraceJsonRoundTripsTheSchedule) {
       },
       small_bounds());
   ASSERT_TRUE(rep.failed);
-  const std::string json = trace_to_json(rep);
+  const std::string json = write_racer_trace(rep);
   EXPECT_NE(json.find("\"kind\": \"mph_racer_trace\""), std::string::npos);
   EXPECT_NE(json.find("\"litmus\": \"fails\""), std::string::npos);
-  EXPECT_NE(json.find("\"decisions\""), std::string::npos);
   EXPECT_NE(json.find("\"events\""), std::string::npos);
+  // The strict reader gives back the litmus and every decision field.
+  const RacerTrace back = read_racer_trace(json);
+  EXPECT_EQ(back.litmus, "fails");
+  ASSERT_EQ(back.decisions.size(), rep.failure_decisions.size());
+  for (std::size_t i = 0; i < back.decisions.size(); ++i) {
+    const Decision& a = back.decisions[i];
+    const Decision& b = rep.failure_decisions[i];
+    EXPECT_EQ(a.shape, b.shape);
+    EXPECT_EQ(a.chosen, b.chosen);
+    EXPECT_EQ(a.options, b.options);
+    EXPECT_EQ(a.pruned, b.pruned);
+    EXPECT_EQ(a.note, b.note);
+  }
 }

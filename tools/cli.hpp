@@ -1,5 +1,6 @@
 // cli.hpp — the pieces every verb of the `mph` driver shares: the flag
-// reader and the exit rule.  The verb table itself lives in mph.cpp.
+// reader, the input reader and the exit rule.  The verb table itself lives
+// in mph.cpp; mph_racer reads its flags and inputs the same way (cli.cpp).
 #pragma once
 
 #include <cstdint>

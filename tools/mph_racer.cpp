@@ -11,8 +11,8 @@
 //       modeled C++11 memory-model fragment: every thread interleaving
 //       within the preemption bound crossed with every allowed
 //       reads-from / CAS outcome.  Cases registered as expect_failure
-//       are seeded bugs the checker must FIND; all others must pass
-//       with the exploration complete.
+//       are seeded or known bugs the checker must FIND; all others must
+//       pass with the exploration complete.
 //
 //   Options:
 //       --max-execs N      execution budget (0 = unlimited; default: the
@@ -30,14 +30,18 @@
 //       --dump-trace FILE  write the first counterexample as a JSON
 //                          decision trace (replayable with --schedule)
 //       --schedule FILE    replay a dumped trace against its litmus
-//                          instead of exploring
+//                          instead of exploring: one execution with every
+//                          recorded decision forced
+//
+//   Flags are read by the same reader as `mph` (tools/cli.cpp), so
+//   `--flag=value` works too.  Bounds given on the command line replace
+//   the litmus's pinned bounds as a whole.
 //
 // Exit status: 0 every litmus met its expectation, 1 an expectation was
 // not met (a pass-case failed, a mutant went unfound, or an exploration
-// was incomplete under --require-complete), 2 on usage errors, replay
-// divergence, or internal errors.
+// was incomplete under --require-complete), 2 on usage errors, a trace
+// the strict reader rejects, replay divergence, or internal errors.
 #include <climits>
-#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
@@ -45,65 +49,38 @@
 #include <vector>
 
 #include "src/minimpi/racer/litmus.hpp"
-#include "src/util/json.hpp"
 #include "src/util/strings.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
-using minimpi::racer::Decision;
 using minimpi::racer::LitmusCase;
 using minimpi::racer::RacerOptions;
 using minimpi::racer::RacerReport;
-using mph::util::parse_flag_uint;
+using mph_tools::Args;
 
-struct Args {
-  std::string target;
-  RacerOptions overrides;
-  bool have_overrides = false;
-  bool require_complete = false;
-  bool allow_incomplete = false;
-  std::string dump_trace;
-  std::string schedule;
-};
+constexpr const char* kUsage =
+    "usage: mph_racer list\n"
+    "       mph_racer <litmus>|all [--max-execs N] [--budget-ms N]\n"
+    "           [--preemptions N] [--max-steps N]\n"
+    "           [--require-complete | --allow-incomplete]\n"
+    "           [--dump-trace FILE]\n"
+    "           [--schedule FILE]\n";
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s list\n"
-               "       %s <litmus>|all [--max-execs N] [--budget-ms N]\n"
-               "           [--preemptions N] [--max-steps N]\n"
-               "           [--require-complete | --allow-incomplete]\n"
-               "           [--dump-trace FILE]\n"
-               "           [--schedule FILE]\n",
-               argv0, argv0);
-  std::exit(2);
-}
-
-/// Parse a trace dumped by --dump-trace (trace_to_json): the decision
-/// stack plus the litmus name it belongs to.
-std::pair<std::string, std::vector<Decision>> load_schedule(
-    const std::string& path) {
-  const std::optional<std::string> text = mph::util::read_file(path);
-  if (!text) throw std::runtime_error("cannot open schedule file: " + path);
-  const mph::util::JsonValue doc = mph::util::JsonValue::parse(*text);
-  const mph::util::JsonValue* kind = doc.find("kind");
-  if (kind == nullptr || kind->as_string() != "mph_racer_trace") {
-    throw std::runtime_error(path + ": not an mph_racer_trace document");
+/// The bounds given on the command line (RacerOptions defaults for the
+/// rest), or nullopt to keep each litmus's pinned bounds.
+std::optional<RacerOptions> bound_overrides(const Args& args) {
+  if (!args.has("--max-execs") && !args.has("--budget-ms") &&
+      !args.has("--preemptions") && !args.has("--max-steps")) {
+    return std::nullopt;
   }
-  std::vector<Decision> schedule;
-  for (const auto& d : doc.at("decisions").items()) {
-    Decision dec;
-    const std::string& k = d.at("kind").as_string();
-    if (k.size() != 1 || (k[0] != 't' && k[0] != 'r' && k[0] != 'c')) {
-      throw std::runtime_error(path + ": bad decision kind '" + k + "'");
-    }
-    dec.kind = k[0];
-    dec.chosen = static_cast<int>(d.at("chosen").as_int());
-    dec.options = static_cast<int>(d.at("options").as_int());
-    dec.pruned = static_cast<int>(d.at("pruned").as_int());
-    if (const auto* note = d.find("note")) dec.note = note->as_string();
-    schedule.push_back(std::move(dec));
-  }
-  return {doc.at("litmus").as_string(), std::move(schedule)};
+  RacerOptions o;
+  o.max_executions = args.number("--max-execs", o.max_executions);
+  o.budget_ms = args.number("--budget-ms", o.budget_ms);
+  o.preemption_bound = static_cast<int>(
+      args.number("--preemptions", o.preemption_bound, 0, INT_MAX));
+  o.max_steps = args.number("--max-steps", o.max_steps);
+  return o;
 }
 
 int list_cases() {
@@ -118,30 +95,29 @@ int list_cases() {
 }
 
 /// Explore one case; returns true when it met its expectation.  The first
-/// counterexample across the run is dumped to `args.dump_trace` (once).
-bool run_one(const LitmusCase& c, const Args& args, bool* trace_dumped) {
-  const RacerOptions* overrides =
-      args.have_overrides ? &args.overrides : nullptr;
+/// counterexample across the run is dumped to --dump-trace (once).
+bool run_one(const LitmusCase& c, const Args& args,
+             const RacerOptions* overrides, bool* trace_dumped) {
   const RacerReport report = minimpi::racer::run_litmus(c, overrides);
   std::printf("%s\n", report.summary().c_str());
   bool ok = minimpi::racer::litmus_verdict(c, report);
   // Completeness is required of pass-cases; an expect_failure exploration
   // stops at its first counterexample, which is the point.
-  if (args.require_complete && !c.expect_failure && !report.complete) {
+  if (args.has("--require-complete") && !c.expect_failure &&
+      !report.complete) {
     ok = false;
   }
   // Budgeted-sweep mode: a pass-case truncated by its budget without a
   // violation (or divergence) still counts — the summary line carries the
   // "explored N of >= M" coverage.  Mutants must still be FOUND.
-  if (args.allow_incomplete && !c.expect_failure && !report.failed &&
+  if (args.has("--allow-incomplete") && !c.expect_failure && !report.failed &&
       report.divergence.empty()) {
     ok = true;
   }
-  if (report.failed && !args.dump_trace.empty() && !*trace_dumped) {
-    mph::util::write_file(args.dump_trace,
-                          minimpi::racer::trace_to_json(report));
-    std::printf("  counterexample trace written to %s\n",
-                args.dump_trace.c_str());
+  const std::string dump = args.value("--dump-trace");
+  if (report.failed && !dump.empty() && !*trace_dumped) {
+    mph::util::write_file(dump, minimpi::racer::write_racer_trace(report));
+    std::printf("  counterexample trace written to %s\n", dump.c_str());
     *trace_dumped = true;
   }
   if (!ok) {
@@ -154,24 +130,21 @@ bool run_one(const LitmusCase& c, const Args& args, bool* trace_dumped) {
   return ok;
 }
 
-int replay_from_file(const Args& args) {
-  const auto [litmus, schedule] = load_schedule(args.schedule);
-  const LitmusCase* c = minimpi::racer::find_litmus(litmus);
+int replay_from_file(const Args& args, const std::string& target,
+                     const RacerOptions* overrides) {
+  const minimpi::racer::RacerTrace trace = minimpi::racer::read_racer_trace(
+      mph_tools::read_input(args.value("--schedule")));
+  const LitmusCase* c = minimpi::racer::find_litmus(trace.litmus);
   if (c == nullptr) {
-    std::fprintf(stderr, "mph_racer: trace litmus '%s' is not registered\n",
-                 litmus.c_str());
-    return 2;
+    throw std::runtime_error("trace litmus '" + trace.litmus +
+                             "' is not registered");
   }
-  if (args.target != "all" && args.target != litmus) {
-    std::fprintf(stderr,
-                 "mph_racer: trace belongs to litmus '%s', not '%s'\n",
-                 litmus.c_str(), args.target.c_str());
-    return 2;
+  if (target != "all" && target != trace.litmus) {
+    throw std::runtime_error("trace belongs to litmus '" + trace.litmus +
+                             "', not '" + target + "'");
   }
-  const RacerOptions* overrides =
-      args.have_overrides ? &args.overrides : nullptr;
   const RacerReport report =
-      minimpi::racer::replay_litmus(*c, schedule, overrides);
+      minimpi::racer::replay_litmus(*c, trace.decisions, overrides);
   std::printf("%s\n", report.summary().c_str());
   for (const auto& ev : report.failure_events) {
     std::printf("  t%d  %s\n", ev.tid, ev.text.c_str());
@@ -184,61 +157,35 @@ int replay_from_file(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage(argv[0]);
-  Args args;
-  args.target = argv[1];
-  if (args.target == "list") {
-    if (argc != 2) usage(argv[0]);
-    return list_cases();
-  }
-
   try {
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> std::string {
-        if (i + 1 >= argc) usage(argv[0]);
-        return argv[++i];
-      };
-      if (arg == "--max-execs") {
-        args.overrides.max_executions = parse_flag_uint(arg, value());
-        args.have_overrides = true;
-      } else if (arg == "--budget-ms") {
-        args.overrides.budget_ms = parse_flag_uint(arg, value());
-        args.have_overrides = true;
-      } else if (arg == "--preemptions") {
-        args.overrides.preemption_bound =
-            static_cast<int>(parse_flag_uint(arg, value(), 0, INT_MAX));
-        args.have_overrides = true;
-      } else if (arg == "--max-steps") {
-        args.overrides.max_steps = parse_flag_uint(arg, value());
-        args.have_overrides = true;
-      } else if (arg == "--require-complete") {
-        args.require_complete = true;
-      } else if (arg == "--allow-incomplete") {
-        args.allow_incomplete = true;
-      } else if (arg == "--dump-trace") {
-        args.dump_trace = value();
-      } else if (arg == "--schedule") {
-        args.schedule = value();
-      } else {
-        usage(argv[0]);
-      }
+    const Args args({argv + 1, argv + argc},
+                    {"--max-execs=", "--budget-ms=", "--preemptions=",
+                     "--max-steps=", "--require-complete",
+                     "--allow-incomplete", "--dump-trace=", "--schedule="});
+    if (args.positional.size() != 1) {
+      throw std::invalid_argument("expected 'list', 'all' or one litmus");
+    }
+    const std::string& target = args.positional[0];
+    if (target == "list") {
+      if (argc != 2) throw std::invalid_argument("list takes no options");
+      return list_cases();
+    }
+    const std::optional<RacerOptions> bounds = bound_overrides(args);
+    const RacerOptions* overrides = bounds ? &*bounds : nullptr;
+    if (args.has("--schedule")) {
+      return replay_from_file(args, target, overrides);
     }
 
-    if (!args.schedule.empty()) return replay_from_file(args);
-
     std::vector<const LitmusCase*> targets;
-    if (args.target == "all") {
+    if (target == "all") {
       for (const LitmusCase& c : minimpi::racer::litmus_cases()) {
         targets.push_back(&c);
       }
     } else {
-      const LitmusCase* c = minimpi::racer::find_litmus(args.target);
+      const LitmusCase* c = minimpi::racer::find_litmus(target);
       if (c == nullptr) {
-        std::fprintf(stderr,
-                     "mph_racer: unknown litmus '%s' (try 'list')\n",
-                     args.target.c_str());
-        return 2;
+        throw std::runtime_error("unknown litmus '" + target +
+                                 "' (try 'list')");
       }
       targets.push_back(c);
     }
@@ -246,13 +193,15 @@ int main(int argc, char** argv) {
     bool all_ok = true;
     bool trace_dumped = false;
     for (const LitmusCase* c : targets) {
-      all_ok = run_one(*c, args, &trace_dumped) && all_ok;
+      all_ok = run_one(*c, args, overrides, &trace_dumped) && all_ok;
     }
     std::printf("mph_racer: %zu litmus case(s), %s\n", targets.size(),
                 all_ok ? "all expectations met" : "EXPECTATIONS NOT MET");
     return all_ok ? 0 : 1;
+  } catch (const std::invalid_argument& e) {  // a usage or flag error
+    std::fprintf(stderr, "mph_racer: %s\n%s", e.what(), kUsage);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mph_racer: %s\n", e.what());
-    return 2;
   }
+  return 2;
 }

@@ -143,11 +143,6 @@ minimpi::verify::JobRunner runner_for(const Scenario& scenario) {
   };
 }
 
-bool failing_report(const minimpi::JobReport& report) {
-  if (!report.ok) return true;
-  return report.check.has_value() && !report.check->clean();
-}
-
 minimpi::JobOptions scenario_job_options() {
   minimpi::JobOptions options;
   // Bound every schedule: a stuck state the engine or mpicheck somehow
@@ -166,15 +161,12 @@ Outcome replay(const Args& args, const Scenario& scenario) {
   const minimpi::verify::ReplayResult result = minimpi::verify::replay(
       runner_for(scenario), trace, scenario_job_options());
   std::printf("%s\n", result.observed.to_string(label_fn(scenario)).c_str());
-  if (result.diverged) {
+  if (!result.divergence.empty()) {
     throw std::runtime_error("replay diverged: " + result.divergence);
   }
-  const bool failed = failing_report(result.report);
+  const bool failed = !result.failure.empty();
   if (failed) {
-    std::printf("replay reproduced the failure: %s\n",
-                result.report.abort.has_value()
-                    ? result.report.abort->to_string().c_str()
-                    : result.report.first_error().c_str());
+    std::printf("replay reproduced the failure: %s\n", result.failure.c_str());
   } else {
     std::printf("replay completed without failure\n");
   }
