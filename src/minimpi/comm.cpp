@@ -151,14 +151,14 @@ Comm Comm::from_group(std::shared_ptr<Job> job, context_t context,
                                       std::to_string(g));
     }
     if (state->to_local[static_cast<std::size_t>(g)] != -1) {
-      throw Error(Errc::internal,
+      throw Error(Errc::invalid_argument,
                   "communicator group repeats world rank " + std::to_string(g));
     }
     state->to_local[static_cast<std::size_t>(g)] = static_cast<rank_t>(i);
     if (g == my_world_rank) my_local = static_cast<rank_t>(i);
   }
   if (my_local < 0) {
-    throw Error(Errc::internal,
+    throw Error(Errc::invalid_argument,
                 "constructing a communicator that does not contain the "
                 "calling rank");
   }
@@ -395,8 +395,6 @@ Comm Comm::split_impl(int color, int key) const {
   // Phase 1: local rank 0 gathers every member's (color, key).
   // Phase 2: rank 0 allocates one fresh context (children are disjoint, so
   //          they can share it) and sends each member its ordered group.
-  // Linear algorithms are deliberate: split runs once at startup and the
-  // simple code is robust; see bench_handshake for measured cost.
   if (st.my_rank == 0) {
     std::vector<SplitEntry> entries(static_cast<std::size_t>(n));
     entries[0] = SplitEntry{color, key, my_world};
@@ -464,41 +462,72 @@ Comm Comm::split_impl(int color, int key) const {
   return from_group(st.job, ctx, std::move(group), my_world);
 }
 
+Comm Comm::split_known(std::span<const rank_t> members) const {
+  return split_known_as("split", Checker::kUncheckedCount, members);
+}
+
+Comm Comm::split_known_as(const char* op_name, std::uint64_t count,
+                          std::span<const rank_t> members) const {
+  check_collective(op_name, -1, count, 0);
+  const ScopedCheckOp op(op_name);
+  const TraceSpan span(state().job->tracer(), state().my_world(),
+                       TraceOp::collective, "split");
+  fault_point(KillPoint::before_split);
+  std::vector<rank_t> group;
+  group.reserve(members.size());
+  for (const rank_t r : members) {
+    group.push_back(require_member_global(r, "split_known member"));
+  }
+  Comm result = known_group(std::move(group));
+  fault_point(KillPoint::after_split);
+  return result;
+}
+
+Comm Comm::known_group(std::vector<rank_t> group) const {
+  detail::CommState& st = state();
+  // The parent's slot key, read before next_collective_tag() advances it.
+  const std::uint32_t seq = st.collective_seq;
+  (void)next_collective_tag();
+  const context_t ctx =
+      st.job->agree_context(st.context, st.to_global.front(), seq,
+                            static_cast<int>(st.to_global.size()));
+  if (group.empty()) return Comm{};
+  return from_group(st.job, ctx, std::move(group), st.my_world());
+}
+
 Comm Comm::dup() const {
-  check_collective("dup", 0, 1, sizeof(context_t));
+  check_collective("dup", -1, 0, 0);
   const ScopedCheckOp op("dup");
   detail::CommState& st = state();
   const TraceSpan span(st.job->tracer(), st.my_world(), TraceOp::collective,
                        "dup");
-  const tag_t tag = next_collective_tag();
-  const int n = static_cast<int>(st.to_global.size());
-  const rank_t my_world = st.my_world();
-  context_t ctx = 0;
-  if (st.my_rank == 0) {
-    ctx = st.job->allocate_context(my_world);
-    for (int r = 1; r < n; ++r) {
-      send_raw(std::as_bytes(std::span<const context_t>(&ctx, 1)), r, tag);
-    }
-  } else {
-    recv_raw(std::as_writable_bytes(std::span<context_t>(&ctx, 1)), 0, tag);
-  }
-  return from_group(st.job, ctx, st.to_global, my_world);
+  return known_group(st.to_global);
 }
 
 Comm Comm::create(std::span<const rank_t> local_ranks) const {
   detail::CommState& st = state();
   const int n = static_cast<int>(st.to_global.size());
-  int key = undefined;
-  for (std::size_t i = 0; i < local_ranks.size(); ++i) {
-    const rank_t r = local_ranks[i];
+  bool member = false;
+  for (const rank_t r : local_ranks) {
     if (r < 0 || r >= n) {
       throw Error(Errc::invalid_rank,
                   "create(): rank " + std::to_string(r) +
                       " outside communicator of size " + std::to_string(n));
     }
-    if (r == st.my_rank) key = static_cast<int>(i);
+    member = member || r == st.my_rank;
   }
-  return split(key == undefined ? undefined : 0, key == undefined ? 0 : key);
+  // Each member builds its handle from its own list, so mpicheck compares
+  // a fingerprint of the list (FNV-1a; the top bit is cleared so it never
+  // reads as the unchecked count): lists that differ across members are a
+  // CollectiveMismatchError, not silently disagreeing communicators.
+  std::uint64_t fingerprint = 14695981039346656037ULL;
+  const auto mix = [&fingerprint](std::uint64_t v) {
+    fingerprint = (fingerprint ^ v) * 1099511628211ULL;
+  };
+  mix(local_ranks.size());
+  for (const rank_t r : local_ranks) mix(static_cast<std::uint32_t>(r));
+  return split_known_as("create", fingerprint >> 1,
+                        member ? local_ranks : std::span<const rank_t>{});
 }
 
 Comm Comm::create_ordered_world(std::span<const rank_t> world_ranks) const {

@@ -6,10 +6,14 @@
 // contexts: a message sent on one communicator can only be matched by a
 // receive on a communicator with the same context id.
 //
-// Creation calls (split/dup/create) are collective over the parent; they
-// are implemented with the substrate's own collectives (see
-// collectives.hpp), matching how real MPI implementations bootstrap
-// MPI_Comm_split from point-to-point.
+// Creation calls (split/split_known/dup/create) are collective over the
+// parent.  split gathers every member's (color, key) with point-to-point
+// messages, as real MPI implementations bootstrap MPI_Comm_split.  When
+// every member already knows its own new group (split_known, and dup and
+// create, whose groups every member holds) no message is needed: each
+// member builds its handle locally and only the context id is agreed,
+// through the job (Job::agree_context), in the style of MPI-4's
+// MPI_Comm_create_from_group.
 #pragma once
 
 #include <cstring>
@@ -240,12 +244,24 @@ class Comm {
   /// communicator for that rank.  Collective over this communicator.
   [[nodiscard]] Comm split(int color, int key) const;
 
-  /// MPI_Comm_dup: same group, fresh context.  Collective.
+  /// split for callers that already know their new group: each member
+  /// passes its own group's members as local ranks of this communicator,
+  /// in new-rank order, or an empty list for a null communicator.  Members
+  /// of one new group pass identical lists, and groups of one call are
+  /// disjoint, as the groups of a split are.  Collective over this
+  /// communicator and checked, traced and fault-injected as split, but
+  /// sends no message: a member may use its handle at once, and traffic
+  /// for a peer that has not built its own yet waits in the peer's mailbox.
+  [[nodiscard]] Comm split_known(std::span<const rank_t> members) const;
+
+  /// MPI_Comm_dup: same group, fresh context.  Collective; no message.
   [[nodiscard]] Comm dup() const;
 
   /// MPI_Comm_create over an explicit local-rank list (order defines the
-  /// new ranks).  Collective over this communicator; non-members receive a
-  /// null communicator.
+  /// new ranks), passed identically by every member.  Collective over this
+  /// communicator; non-members receive a null communicator.  A split_known
+  /// whose group is the list: no message.  mpicheck compares a fingerprint
+  /// of the list, so members passing different lists are reported.
   [[nodiscard]] Comm create(std::span<const rank_t> local_ranks) const;
 
   /// Build a communicator over an explicit, ordered list of *world* ranks
@@ -313,6 +329,12 @@ class Comm {
 
   [[nodiscard]] detail::CommState& state() const;
   [[nodiscard]] Comm split_impl(int color, int key) const;
+  /// split_known, checked by mpicheck as collective `op_name` with `count`.
+  [[nodiscard]] Comm split_known_as(const char* op_name, std::uint64_t count,
+                                    std::span<const rank_t> members) const;
+  /// Advance the collective sequence, agree the context, and build the
+  /// handle for `group` (world ranks; empty = null communicator).
+  [[nodiscard]] Comm known_group(std::vector<rank_t> group) const;
   [[nodiscard]] rank_t require_member_global(rank_t local,
                                              const char* what) const;
   /// World rank of a receive's `source` (any_source passes through).

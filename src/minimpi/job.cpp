@@ -140,6 +140,34 @@ context_t Job::allocate_context(rank_t allocator) noexcept {
   return next_context_.fetch_add(1, std::memory_order_relaxed);
 }
 
+context_t Job::agree_context(context_t parent, rank_t leader,
+                             std::uint32_t seq, int parent_size) {
+  const std::lock_guard<std::mutex> lock(agree_mutex_);
+  auto [it, fresh] = agreed_.try_emplace(std::make_tuple(parent, leader, seq));
+  AgreedContext& entry = it->second;
+  if (fresh && !verify_) {
+    entry.context = allocate_context(leader);
+  } else if (fresh) {
+    contexts_allocated_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t key =
+        mph::util::Rng(std::uint64_t{parent} << 32 | seq)() ^
+        static_cast<std::uint32_t>(leader);
+    entry.context =
+        static_cast<context_t>(mph::util::Rng(key)() >> 33) | 0x8000'0000U;
+    if (!keyed_contexts_.insert(entry.context).second) {
+      agreed_.erase(it);
+      throw Error(Errc::internal,
+                  "communicator context id collision under verification "
+                  "(parent context " + std::to_string(parent) + ", leader " +
+                      std::to_string(leader) + ", collective #" +
+                      std::to_string(seq) + ")");
+    }
+  }
+  const context_t context = entry.context;
+  if (++entry.asked >= parent_size) agreed_.erase(it);
+  return context;
+}
+
 Mailbox& Job::mailbox(rank_t world_rank) {
   if (world_rank < 0 || world_rank >= world_size_) {
     throw Error(Errc::invalid_rank,

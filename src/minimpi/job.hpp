@@ -21,7 +21,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/minimpi/check.hpp"
@@ -168,13 +170,28 @@ class Job {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
   /// Allocate a fresh communicator context id (thread safe).  Exactly one
-  /// rank of a communicator allocates — `allocator` is its world rank —
-  /// and the id is then distributed to the other members collectively.
+  /// rank of a split or an ordered-world create allocates — `allocator` is
+  /// its world rank — and sends the id to the other members.
   /// Under schedule verification each rank draws from its own disjoint id
   /// space, so context ids depend only on the allocating rank's program
   /// order, never on cross-rank allocation races: traces stay byte-
   /// identical across schedules and replays.
   [[nodiscard]] context_t allocate_context(rank_t allocator) noexcept;
+
+  /// Context id of a communicator that every member builds from a group it
+  /// already knows (Comm::split_known, dup, create), agreed without a
+  /// message.  Each of the parent's `parent_size` members asks once, with
+  /// the key of the parent's mpicheck slot: its context, its group leader
+  /// (the world rank of its local rank 0) and its collective sequence
+  /// number.  The first asker allocates one fresh id, which disjoint
+  /// children share as they do after a split; the entry is dropped when
+  /// the last member has asked.  Under schedule verification the id is a
+  /// pure function of the key, so it cannot depend on which member asks
+  /// first.  Those ids have bit 31 set, clear of the per-rank spaces above
+  /// (jobs under 2047 ranks); two keys hashing to one id throw
+  /// Errc::internal.
+  [[nodiscard]] context_t agree_context(context_t parent, rank_t leader,
+                                        std::uint32_t seq, int parent_size);
 
   // --- job-wide abort ------------------------------------------------------
 
@@ -340,6 +357,15 @@ class Job {
   /// Verify mode: per-rank context counters (disjoint id spaces).
   std::unique_ptr<mph::atomic<context_t>[]> rank_next_context_;
   mph::atomic<std::uint64_t> contexts_allocated_{0};
+  /// agree_context's open entries, and (verify mode) every keyed id issued.
+  struct AgreedContext {
+    context_t context = kWorldContext;
+    int asked = 0;
+  };
+  std::mutex agree_mutex_;
+  std::map<std::tuple<context_t, rank_t, std::uint32_t>, AgreedContext>
+      agreed_;
+  std::set<context_t> keyed_contexts_;
   mph::atomic<std::uint64_t> messages_{0};
   mph::atomic<std::uint64_t> payload_bytes_{0};
 

@@ -637,32 +637,16 @@ void name_location(const void* obj, const char* name) {
 }
 
 // ---------------------------------------------------------------------------
-// run_threads fallback + reporting
+// run_threads + reporting
 
 void run_threads(std::vector<std::function<void()>> bodies) {
-  if (Engine* e = tl_engine) {
-    e->run_threads(std::move(bodies));
-    return;
+  Engine* e = tl_engine;
+  if (e == nullptr) {
+    throw RacerError(
+        "mph_racer: run_threads outside an engine (run litmus bodies "
+        "through Engine::explore or Engine::replay)");
   }
-  // No engine: run natively (the same litmus bodies double as stress tests,
-  // e.g. under tsan).  Failures from workers are rethrown lowest-index
-  // first, matching the engine's delivery order.
-  std::vector<std::exception_ptr> errors(bodies.size());
-  std::vector<std::thread> threads;
-  threads.reserve(bodies.size());
-  for (std::size_t i = 0; i < bodies.size(); ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        bodies[i]();
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (auto& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
+  e->run_threads(std::move(bodies));
 }
 
 std::string RacerReport::summary() const {

@@ -241,10 +241,9 @@ class Engine {
 /// workers during explore/replay).
 [[nodiscard]] Engine* current_engine() noexcept;
 
-/// Spawn-and-join helper litmus bodies use.  Under an engine this is
-/// Engine::run_threads (modeled interleaving); without one it spawns plain
-/// std::threads and joins them, so the same bodies double as native stress
-/// tests (e.g. under tsan).
+/// Spawn-and-join helper litmus bodies use: Engine::run_threads of the
+/// engine driving this thread (modeled interleaving).  Throws RacerError
+/// when no engine is active.
 void run_threads(std::vector<std::function<void()>> bodies);
 
 }  // namespace minimpi::racer

@@ -15,9 +15,8 @@
 //
 // Bodies are re-entrant: all state (including the structures under test)
 // lives on the body's stack, so the engine can run the body once per
-// explored execution.  The same bodies double as native stress loops when
-// no engine is active (run_threads falls back to plain std::thread) — the
-// tsan contention tests reuse them that way.
+// explored execution.  They run only under an engine (run_litmus and
+// replay_litmus); run_threads throws without one.
 #pragma once
 
 #include <string>

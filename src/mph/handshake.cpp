@@ -1,5 +1,6 @@
 #include "src/mph/handshake.hpp"
 
+#include <numeric>
 #include <optional>
 #include <set>
 #include <span>
@@ -44,6 +45,14 @@ void validate_declaration(const LocalDeclaration& decl) {
                        "' repeated in one setup call");
     }
   }
+}
+
+/// Ranks low..high: the group of a run or of a component's range, which
+/// every rank knows after the signature allgather.
+std::vector<rank_t> rank_range(rank_t low, rank_t high) {
+  std::vector<rank_t> ranks(static_cast<std::size_t>(high - low + 1));
+  std::iota(ranks.begin(), ranks.end(), low);
+  return ranks;
 }
 
 /// True when no two components of the block share a processor.
@@ -193,15 +202,6 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
   result.declaration = declaration;
   result.options = options;
 
-  // Publish the established layout to the job blackboard so that a
-  // respawned member can rebuild this exact directory later without any
-  // collective involving survivors (rejoin_handshake).  Rank 0 only — the
-  // inputs are identical everywhere, so one copy suffices.
-  if (world.rank() == 0) {
-    world.job().put_shared(kRegistryKey, registry.to_text());
-    world.job().put_shared(kSignaturesKey, u::join(signatures, "\n"));
-  }
-
   const rank_t my_world = world.rank();
   const int my_run = run_of(runs, my_world);
   if (my_run < 0) {
@@ -225,16 +225,34 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
   // already be attributed (and contained) correctly.
   (void)adopt_primary_component(world.job(), result, my_block, rel, options);
 
+  // Publish the established layout to the job blackboard so that a
+  // respawned member can rebuild this exact directory later without any
+  // collective involving survivors (rejoin_handshake).  Only a failure
+  // domain's ranks can be respawned, and each of them publishes (the
+  // inputs, and so the values, are identical everywhere) before it can
+  // leave the handshake: the splits below send nothing and hold no rank
+  // back until another has published, so a replacement must find the copy
+  // its own predecessor wrote.
+  if (world.job().domain_of(my_world) >= 0) {
+    world.job().put_shared(kRegistryKey, registry.to_text());
+    world.job().put_shared(kSignaturesKey, u::join(signatures, "\n"));
+  }
+
   // --- Step 4 (§6.1/§6.2): create communicators. ---------------------------
+  // Every split's groups follow from the runs and ranges all ranks now
+  // hold, so each is a split_known: the same collective, no messages.
   const minimpi::TraceSpan comm_setup(tracer, my_world,
                                       minimpi::TraceOp::phase, "comm_setup",
                                       minimpi::kPhaseCommSetup);
+  const std::vector<rank_t> run_ranks =
+      rank_range(run.base, run.base + run.size - 1);
   if (options.single_split_fast_path && registry.all_single_component()) {
-    // §6.1: one split of world with color = component id.
+    // §6.1: one split of world with color = component id, whose group is
+    // the executable's run.
     const int my_component =
         result.directory.execs()[static_cast<std::size_t>(my_run)]
             .component_ids.front();
-    Comm comp = world.split(my_component, my_world);
+    Comm comp = world.split_known(run_ranks);
     result.exec_comm = comp;
     result.my_component_ids.push_back(my_component);
     result.my_component_comms.push_back(std::move(comp));
@@ -244,7 +262,7 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
   }
 
   // General path: split world into executables first.
-  result.exec_comm = world.split(my_run, my_world);
+  result.exec_comm = world.split_known(run_ranks);
 
   const std::vector<int>& block_component_ids =
       result.directory.execs()[static_cast<std::size_t>(my_run)].component_ids;
@@ -270,7 +288,17 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
                          " of a multi-instance executable is not covered by "
                          "any instance range");
       }
-      Comm comp = result.exec_comm.split(my_instance, rel);
+      const ComponentEntry& mine =
+          my_block.components[static_cast<std::size_t>(my_instance)];
+      Comm comp =
+          result.exec_comm.split_known(rank_range(mine.low, mine.high));
+      if (options.isolate_instances) {
+        // The launcher respawns a domain once every registered member has
+        // exited, so no member may leave the handshake (and fail) before
+        // its partners have joined the domain.  The splits send nothing
+        // and so no longer hold it back; the barrier does.
+        minimpi::barrier(comp);
+      }
       result.my_component_ids.push_back(
           block_component_ids[static_cast<std::size_t>(my_instance)]);
       result.my_component_comms.push_back(std::move(comp));
@@ -288,8 +316,13 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
             break;
           }
         }
-        Comm comp = result.exec_comm.split(
-            my_component < 0 ? minimpi::undefined : my_component, rel);
+        std::vector<rank_t> group;
+        if (my_component >= 0) {
+          const ComponentEntry& c =
+              my_block.components[static_cast<std::size_t>(my_component)];
+          group = rank_range(c.low, c.high);
+        }
+        Comm comp = result.exec_comm.split_known(group);
         if (my_component >= 0) {
           result.my_component_ids.push_back(
               block_component_ids[static_cast<std::size_t>(my_component)]);
@@ -297,12 +330,12 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
         }
       } else {
         // §6.2 overlap case: one split per component, every exec rank
-        // participating in each (color = member / undefined).
+        // participating in each (the component's range, or no group).
         for (std::size_t i = 0; i < my_block.components.size(); ++i) {
           const ComponentEntry& c = my_block.components[i];
           const bool covers = rel >= c.low && rel <= c.high;
-          Comm comp =
-              result.exec_comm.split(covers ? 1 : minimpi::undefined, rel);
+          Comm comp = result.exec_comm.split_known(
+              covers ? rank_range(c.low, c.high) : std::vector<rank_t>{});
           if (covers) {
             result.my_component_ids.push_back(block_component_ids[i]);
             result.my_component_comms.push_back(std::move(comp));
@@ -389,11 +422,8 @@ HandshakeResult rejoin_handshake(const Comm& world,
 
   // The only collective of the rejoin: the member communicator, over
   // exactly the ranks being respawned together.  Survivors are uninvolved.
-  std::vector<rank_t> members;
-  members.reserve(static_cast<std::size_t>(record.size()));
-  for (rank_t r = record.global_low; r <= record.global_high; ++r) {
-    members.push_back(r);
-  }
+  const std::vector<rank_t> members =
+      rank_range(record.global_low, record.global_high);
   Comm comp =
       world.create_ordered_world(std::span<const rank_t>(members));
   // Degradation vs. the full handshake (see handshake.hpp): the member

@@ -111,9 +111,10 @@ struct HandshakeResult {
                                         const LocalDeclaration& declaration,
                                         const HandshakeOptions& options = {});
 
-/// Blackboard keys under which world rank 0 publishes the established
-/// layout (minimpi::Job::put_shared) during handshake(), for later
-/// rejoin_handshake() calls by respawned ranks.
+/// Blackboard keys under which every failure-domain member (the ranks that
+/// can be respawned) publishes the established layout
+/// (minimpi::Job::put_shared) during handshake(), before it builds its
+/// communicators, for later rejoin_handshake() calls by respawned ranks.
 inline constexpr const char* kRegistryKey = "mph.registry";
 inline constexpr const char* kSignaturesKey = "mph.signatures";
 

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/climate/scenario.hpp"
 #include "src/minimpi/fault.hpp"
+#include "src/minimpi/launcher.hpp"
 #include "tests/mph/mph_test_util.hpp"
 
 namespace {
@@ -176,6 +179,92 @@ TEST(MimeIsolation, NoInjectionRunsCleanWithIsolationEnabled) {
   EXPECT_TRUE(report.contained.empty());
   EXPECT_EQ(report.leaked_envelopes, 0u);
   EXPECT_FALSE(saw_failed_members);
+}
+
+TEST(MimeIsolation, EveryMemberJoinsItsDomainBeforeAnyLeavesTheHandshake) {
+  // The launcher heals and respawns a domain once every registered member
+  // has exited, so a member must not reach user code (and fail there)
+  // while a partner has yet to register.  Rank 3's last allgather message
+  // to rank 1 is held back, so rank 1 registers late; rank 0, its
+  // partner in Ocean1, must still find both ranks in the domain.
+  mph::HandshakeOptions handshake;
+  handshake.isolate_instances = true;
+  minimpi::JobOptions job = mph::testing::test_job_options();
+  minimpi::EnvelopeMatch last_to_1;
+  last_to_1.context = minimpi::kWorldContext;
+  last_to_1.src = 3;
+  last_to_1.dest = 1;
+  job.faults.delay(last_to_1, std::chrono::milliseconds(200));
+
+  std::vector<minimpi::rank_t> ocean1;
+  TestExec members{{}, "Ocean", 4, [&ocean1](Mph& h, const Comm& world) {
+                     if (world.rank() != 0) return;
+                     minimpi::Job& job = world.job();
+                     ocean1 = job.domain_ranks(job.domain_of(0));
+                     EXPECT_EQ(h.comp_name(), "Ocean1");
+                   }};
+  const JobReport report = mph::testing::run_mph_job(
+      "BEGIN\nMulti_Instance_Begin\nOcean1 0 1\nOcean2 2 3\n"
+      "Multi_Instance_End\nEND\n",
+      {members}, handshake, std::move(job));
+  ASSERT_TRUE(report.ok) << report.abort_reason;
+  std::sort(ocean1.begin(), ocean1.end());
+  EXPECT_EQ(ocean1, (std::vector<minimpi::rank_t>{0, 1}));
+}
+
+TEST(MimeIsolation, ReplacementRejoinsWhileRankZeroIsStillInTheHandshake) {
+  // rejoin_handshake reads the layout the handshake published.  Rank 4's
+  // message to rank 0, the last of the signature allgather at 5 ranks, is
+  // held back, so rank 0 is still in the handshake while Ocean2 leaves it,
+  // fails in user code and is respawned; the replacement must still find
+  // the layout.
+  const std::string registry =
+      "BEGIN\nMulti_Instance_Begin\nOcean1 0 1\nOcean2 2 3\n"
+      "Multi_Instance_End\nstatistics\nEND\n";
+  mph::HandshakeOptions handshake;
+  handshake.isolate_instances = true;
+  minimpi::JobOptions job = mph::testing::test_job_options();
+  job.respawn.enabled = true;
+  job.respawn.backoff = std::chrono::milliseconds(1);
+  minimpi::EnvelopeMatch last_to_0;
+  last_to_0.context = minimpi::kWorldContext;
+  last_to_0.src = 4;
+  last_to_0.dest = 0;
+  job.faults.delay(last_to_0, std::chrono::milliseconds(200));
+
+  std::atomic<int> rejoined{0};
+  std::vector<minimpi::ExecSpec> specs;
+  specs.push_back(minimpi::ExecSpec{
+      "members", 4,
+      [&](const Comm& world, const minimpi::ExecEnv& env) {
+        if (env.incarnation > 0) {
+          const Mph h = Mph::rejoin_instance(world, "Ocean", handshake);
+          EXPECT_EQ(h.comp_name(), "Ocean2");
+          ++rejoined;
+          return;
+        }
+        const Mph h = Mph::multi_instance(
+            world, mph::RegistrySource::from_text(registry), "Ocean",
+            handshake);
+        if (h.comp_name() == "Ocean2") {
+          throw std::runtime_error("Ocean2 fails after its handshake");
+        }
+      },
+      {}});
+  specs.push_back(minimpi::ExecSpec{
+      "statistics", 1,
+      [&](const Comm& world, const minimpi::ExecEnv&) {
+        (void)Mph::components_setup(
+            world, mph::RegistrySource::from_text(registry), {"statistics"},
+            handshake);
+      },
+      {}});
+  const JobReport report = minimpi::run_mpmd(specs, std::move(job));
+  ASSERT_TRUE(report.ok) << report.abort_reason << " / "
+                         << report.first_error();
+  EXPECT_EQ(report.recovery.respawns.size(), 1u);
+  EXPECT_EQ(report.contained.size(), 2u);  // only the first incarnation
+  EXPECT_EQ(rejoined.load(), 2);
 }
 
 }  // namespace

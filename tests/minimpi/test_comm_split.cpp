@@ -1,12 +1,20 @@
 // Communicator creation: split (with keys, undefined, overlap-by-repetition),
-// dup isolation, create from rank lists, ordered world creation.
+// known-group split (no messages, early senders, mpicheck, context ids
+// under verification), dup isolation, create from rank lists, ordered
+// world creation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "src/minimpi/collectives.hpp"
 #include "src/minimpi/comm.hpp"
 #include "src/minimpi/launcher.hpp"
+#include "src/minimpi/verify/verify.hpp"
 
 using namespace minimpi;
 
@@ -222,4 +230,241 @@ TEST(Comm, NullCommThrows) {
   EXPECT_THROW((void)null.rank(), Error);
   EXPECT_THROW((void)null.size(), Error);
   EXPECT_THROW(null.send(1, 0, 0), Error);
+}
+
+// --- known-group construction (split_known) --------------------------------
+
+namespace {
+constexpr int kKnownRanks = 6;
+
+/// Color and key of a split that exercises undefined, two groups, and
+/// ordering by key against parent order.
+int known_color(rank_t r) { return r % 3 == 2 ? undefined : r % 2; }
+int known_key(rank_t r) { return -r; }
+
+/// The group split(known_color, known_key) gives `me`, as parent ranks.
+std::vector<rank_t> known_members(rank_t me) {
+  std::vector<rank_t> members;
+  if (known_color(me) == undefined) return members;
+  for (rank_t r = 0; r < kKnownRanks; ++r) {
+    if (known_color(r) == known_color(me)) members.push_back(r);
+  }
+  std::stable_sort(members.begin(), members.end(), [](rank_t a, rank_t b) {
+    return known_key(a) < known_key(b);
+  });
+  return members;
+}
+
+/// Each rank's resulting group (world ranks), or {-1} for a null handle.
+using Groups = std::vector<std::vector<rank_t>>;
+
+JobReport run_creation(const std::function<Comm(const Comm&)>& create,
+                       Groups* groups) {
+  groups->assign(kKnownRanks, {});
+  JobOptions options;
+  options.recv_timeout = std::chrono::seconds(30);
+  return run_spmd(
+      kKnownRanks,
+      [&](const Comm& world, const ExecEnv&) {
+        const Comm sub = create(world);
+        (*groups)[static_cast<std::size_t>(world.rank())] =
+            sub.valid() ? sub.group() : std::vector<rank_t>{-1};
+      },
+      options);
+}
+}  // namespace
+
+TEST(CommSplitKnown, MatchesSplitAndSendsNoMessages) {
+  Groups by_split;
+  const JobReport split_report = run_creation(
+      [](const Comm& world) {
+        return world.split(known_color(world.rank()),
+                           known_key(world.rank()));
+      },
+      &by_split);
+  ASSERT_TRUE(split_report.ok) << split_report.first_error();
+
+  Groups by_known;
+  const JobReport known_report = run_creation(
+      [](const Comm& world) {
+        const std::vector<rank_t> members = known_members(world.rank());
+        return world.split_known(members);
+      },
+      &by_known);
+  ASSERT_TRUE(known_report.ok) << known_report.first_error();
+
+  EXPECT_EQ(by_known, by_split);
+  EXPECT_EQ(by_known[0], (std::vector<rank_t>{4, 0}));
+  EXPECT_EQ(by_known[2], (std::vector<rank_t>{-1}));
+  EXPECT_GT(split_report.stats.messages, 0u);
+  EXPECT_EQ(known_report.stats.messages, 0u);
+  EXPECT_EQ(known_report.stats.contexts_allocated,
+            split_report.stats.contexts_allocated);
+}
+
+TEST(CommSplitKnown, DupAndCreateSendNoMessages) {
+  Groups groups;
+  const JobReport report = run_creation(
+      [](const Comm& world) {
+        const Comm copy = world.dup();
+        const std::vector<rank_t> members{3, 1, 4};
+        return copy.create(members);
+      },
+      &groups);
+  ASSERT_TRUE(report.ok) << report.first_error();
+  EXPECT_EQ(report.stats.messages, 0u);
+  EXPECT_EQ(report.stats.contexts_allocated, 2u);
+  EXPECT_EQ(groups[1], (std::vector<rank_t>{3, 1, 4}));
+  EXPECT_EQ(groups[0], (std::vector<rank_t>{-1}));
+}
+
+TEST(CommSplitKnown, EarlySenderReachesLateBuilder) {
+  // Rank 0 builds its handle and sends on it while rank 1 has not yet
+  // built its own: the message waits in rank 1's mailbox under the agreed
+  // context and is received once rank 1 catches up.
+  std::atomic<bool> sent{false};
+  run_ok(2, [&](const Comm& world) {
+    const std::vector<rank_t> both{0, 1};
+    if (world.rank() == 0) {
+      const Comm sub = world.split_known(both);
+      sub.send(42, 1, 5);
+      const Comm copy = sub.dup();
+      copy.send(43, 1, 6);
+      sent.store(true, std::memory_order_release);
+      return;
+    }
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!sent.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(sent.load(std::memory_order_acquire))
+        << "rank 0 could not finish without rank 1";
+    const Comm sub = world.split_known(both);
+    const Comm copy = sub.dup();
+    int v = 0;
+    copy.recv(v, 0, 6);
+    EXPECT_EQ(v, 43);
+    sub.recv(v, 0, 5);
+    EXPECT_EQ(v, 42);
+  });
+}
+
+namespace {
+/// Run `body` on two ranks with mpicheck's collective checker on; returns
+/// the single mismatch it reports.
+std::string known_group_mismatch(
+    const std::function<void(const Comm&)>& body) {
+  JobOptions options;
+  options.recv_timeout = std::chrono::seconds(30);
+  options.check.collectives = true;
+  const JobReport report = run_spmd(
+      2, [&](const Comm& world, const ExecEnv&) { body(world); }, options);
+  EXPECT_FALSE(report.ok);
+  if (!report.check.has_value() ||
+      report.check->collective_mismatches.size() != 1) {
+    ADD_FAILURE() << "expected one collective mismatch: "
+                  << report.first_error();
+    return {};
+  }
+  EXPECT_NE(report.first_error().find("collective_mismatch"),
+            std::string::npos)
+      << report.first_error();
+  return report.check->collective_mismatches.front();
+}
+}  // namespace
+
+TEST(CommSplitKnown, MpicheckReportsASkippedConstruction) {
+  const std::string mismatch = known_group_mismatch([](const Comm& world) {
+    const std::vector<rank_t> both{0, 1};
+    if (world.rank() == 0) (void)world.split_known(both);
+    int v = 0;
+    bcast_value(world, v, 0);
+  });
+  EXPECT_NE(mismatch.find("split"), std::string::npos) << mismatch;
+  EXPECT_NE(mismatch.find("bcast"), std::string::npos) << mismatch;
+}
+
+TEST(CommSplitKnown, MpicheckReportsAReorderedConstruction) {
+  const std::string mismatch = known_group_mismatch([](const Comm& world) {
+    const std::vector<rank_t> both{0, 1};
+    if (world.rank() == 0) {
+      (void)world.split_known(both);
+      barrier(world);
+    } else {
+      barrier(world);
+      (void)world.split_known(both);
+    }
+  });
+  EXPECT_NE(mismatch.find("split"), std::string::npos) << mismatch;
+  EXPECT_NE(mismatch.find("barrier"), std::string::npos) << mismatch;
+}
+
+TEST(CommSplitKnown, MpicheckReportsCreateListsThatDiffer) {
+  // Each member of create builds its handle from its own list, so lists
+  // that differ would give communicators disagreeing on rank order.
+  const std::string mismatch = known_group_mismatch([](const Comm& world) {
+    const std::vector<rank_t> order = world.rank() == 0
+                                          ? std::vector<rank_t>{0, 1}
+                                          : std::vector<rank_t>{1, 0};
+    (void)world.create(order);
+  });
+  EXPECT_NE(mismatch.find("create"), std::string::npos) << mismatch;
+  EXPECT_NE(mismatch.find("count="), std::string::npos) << mismatch;
+}
+
+TEST(CommSplitKnown, ContextIdsIgnoreScheduleUnderVerification) {
+  // Ranks 1 and 2 race to rank 0's wildcard receive.  The winner is let
+  // through first to dup its communicator with rank 0 ({0,1} or {0,2},
+  // both led by rank 0), so the two schedules reach the two agreements in
+  // opposite orders; the ids must not follow that order.
+  constexpr tag_t kHello = 1;
+  constexpr tag_t kGo = 2;
+  constexpr tag_t kDone = 3;
+  std::vector<std::vector<context_t>> runs;
+  const auto scenario = [&](const JobOptions& options) {
+    std::vector<context_t> ids(4, kWorldContext);
+    JobReport report = run_spmd(
+        3,
+        [&](const Comm& world, const ExecEnv&) {
+          const rank_t me = world.rank();
+          const Comm left = world.split_known(
+              me == 2 ? std::vector<rank_t>{} : std::vector<rank_t>{0, 1});
+          const Comm right = world.split_known(
+              me == 1 ? std::vector<rank_t>{} : std::vector<rank_t>{0, 2});
+          if (me == 0) {
+            int v = 0;
+            const Status first = world.recv(v, any_source, kHello);
+            for (const rank_t peer : {first.source, 3 - first.source}) {
+              if (peer != first.source) world.recv(v, peer, kHello);
+              world.send(1, peer, kGo);
+              world.recv(v, peer, kDone);
+            }
+            ids[0] = left.dup().context();
+            ids[3] = right.dup().context();
+            return;
+          }
+          world.send(me, 0, kHello);
+          int go = 0;
+          world.recv(go, 0, kGo);
+          ids[static_cast<std::size_t>(me)] =
+              (me == 1 ? left : right).dup().context();
+          world.send(1, 0, kDone);
+        },
+        options);
+    runs.push_back(ids);
+    return report;
+  };
+  verify::VerifyOptions options;
+  options.job.recv_timeout = std::chrono::seconds(20);
+  const verify::VerifyReport report = verify::verify(scenario, options);
+  ASSERT_TRUE(report.ok()) << report.to_string();
+  EXPECT_TRUE(report.complete);
+  ASSERT_EQ(report.schedules_run, 2u);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0], runs[1]);
+  EXPECT_EQ(runs[0][0], runs[0][1]);
+  EXPECT_EQ(runs[0][3], runs[0][2]);
+  EXPECT_NE(runs[0][1], runs[0][2]);
 }

@@ -164,3 +164,27 @@ TEST(SetupMCME, DeclaredNamesMustMatchFileExactly) {
        ocean_ice(nullptr), coupler(nullptr)});
   EXPECT_NE(err.find("no matching entry"), std::string::npos);
 }
+
+TEST(SetupMCME, HandshakeSendsOnlyTheRegistryAndSignatureExchange) {
+  // Four ranks, every split kind of §6.2: the world split, two overlap
+  // splits (a, b) and one disjoint split (x, y).  Each is built from a
+  // known group, so only the registry broadcast (3 messages) and the
+  // signature allgather (8) are sent.
+  const std::string registry = R"(BEGIN
+Multi_Component_Begin
+a 0 1
+b 0 1
+Multi_Component_End
+Multi_Component_Begin
+x 0 0
+y 1 1
+Multi_Component_End
+END
+)";
+  const minimpi::JobReport report =
+      run_mph_job(registry, {TestExec{{"a", "b"}, "", 2, nullptr},
+                             TestExec{{"x", "y"}, "", 2, nullptr}});
+  ASSERT_TRUE(report.ok) << report.abort_reason;
+  EXPECT_EQ(report.stats.messages, 3u + 8u);
+  EXPECT_EQ(report.stats.contexts_allocated, 4u);
+}

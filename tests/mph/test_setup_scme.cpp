@@ -204,3 +204,20 @@ TEST(SetupSCME, VisualizationComponentInsertedWithoutCodeChange) {
                          EXPECT_EQ(h.comp_name(), "visualization");
                        }}});
 }
+
+TEST(SetupSCME, HandshakeSendsOnlyTheRegistryAndSignatureExchange) {
+  // The communicators come from groups every rank knows after the
+  // signature allgather, so the handshake's only messages are the registry
+  // broadcast (n - 1 at n = 4) and the Bruck signature allgather
+  // (n * ceil(log2 n) = 8).  A message-based split would add 2(n - 1) per
+  // split.
+  const minimpi::JobReport report = run_mph_job(
+      "BEGIN\natmosphere\nocean\nland\ncoupler\nEND\n",
+      {TestExec{{"atmosphere"}, "", 1, nullptr},
+       TestExec{{"ocean"}, "", 1, nullptr},
+       TestExec{{"land"}, "", 1, nullptr},
+       TestExec{{"coupler"}, "", 1, nullptr}});
+  ASSERT_TRUE(report.ok) << report.abort_reason;
+  EXPECT_EQ(report.stats.messages, 3u + 8u);
+  EXPECT_EQ(report.stats.contexts_allocated, 1u);
+}
