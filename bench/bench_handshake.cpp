@@ -1,10 +1,9 @@
 // E1 — handshake cost (paper §6): how MPH setup time scales with the
-// number of ranks and the number of components, for SCME (fast path §6.1
-// vs general path §6.2 ablation), MCSE, and MCME layouts.
+// number of ranks and the number of components, for SCME (§6.1), MCSE and
+// MCME (§6.2) layouts.
 //
 // Claim reproduced: the handshake is a one-shot startup step whose cost
-// grows mildly (one allgather + one or two comm splits); the §6.1 fast
-// path saves one world split relative to the general path.
+// grows mildly (one allgather + one or two comm splits).
 #include "bench/bench_util.hpp"
 
 using namespace mph;
@@ -16,15 +15,12 @@ namespace {
 void BM_Handshake_SCME(benchmark::State& state) {
   const int comps = static_cast<int>(state.range(0));
   const int ranks_each = static_cast<int>(state.range(1));
-  const bool fast_path = state.range(2) != 0;
   const std::string registry = scme_registry(comps);
-  HandshakeOptions options;
-  options.single_split_fast_path = fast_path;
   MaxSeconds setup_time;
   for (auto _ : state) {
     setup_time.reset();
     const auto report = minimpi::run_mpmd(
-        scme_job(comps, ranks_each, registry, setup_time, options),
+        scme_job(comps, ranks_each, registry, setup_time),
         bench_job_options());
     require_ok(report, "handshake-scme");
     state.SetIterationTime(setup_time.get());
@@ -125,18 +121,18 @@ void BM_LaunchOnly(benchmark::State& state) {
 
 }  // namespace
 
-// Sweep: components x ranks-per-component x fast-path(0/1).
+// Sweep: components x ranks-per-component.
 BENCHMARK(BM_Handshake_SCME)
-    ->ArgsProduct({{2, 4, 8, 16}, {1, 4}, {0, 1}})
+    ->ArgsProduct({{2, 4, 8, 16}, {1, 4}})
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(8);
 // Wide-job tail of the sweep (paper §6 at CCSM-ensemble scale): 64 and 128
-// single-rank components, fast path off/on.  One rank each keeps the thread
-// count equal to the component count; fewer iterations since each job spins
-// up that many threads.
+// single-rank components.  One rank each keeps the thread count equal to
+// the component count; fewer iterations since each job spins up that many
+// threads.
 BENCHMARK(BM_Handshake_SCME)
-    ->ArgsProduct({{64, 128}, {1}, {0, 1}})
+    ->ArgsProduct({{64, 128}, {1}})
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(3);

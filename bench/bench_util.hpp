@@ -58,19 +58,19 @@ inline std::string scme_registry(int n) {
 /// Command file for `n` single-component executables with `ranks_each`
 /// processes each, every rank performing MPH setup and timing it.
 inline std::vector<minimpi::ExecSpec> scme_job(
-    int n, int ranks_each, const std::string& registry, MaxSeconds& setup_time,
-    mph::HandshakeOptions options = {}) {
+    int n, int ranks_each, const std::string& registry,
+    MaxSeconds& setup_time) {
   std::vector<minimpi::ExecSpec> specs;
   specs.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     specs.push_back(minimpi::ExecSpec{
         "c" + std::to_string(i), ranks_each,
-        [&registry, &setup_time, i, options](const minimpi::Comm& world,
-                                             const minimpi::ExecEnv&) {
+        [&registry, &setup_time, i](const minimpi::Comm& world,
+                                    const minimpi::ExecEnv&) {
           const util::Timer timer;
           mph::Mph h = mph::Mph::components_setup(
               world, mph::RegistrySource::from_text(registry),
-              {"c" + std::to_string(i)}, options);
+              {"c" + std::to_string(i)});
           setup_time.update(timer.seconds());
           benchmark::DoNotOptimize(h.total_components());
         },

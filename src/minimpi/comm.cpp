@@ -1,9 +1,12 @@
 #include "src/minimpi/comm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <thread>
 #include <utility>
+
+#include "src/minimpi/collectives.hpp"
 
 namespace minimpi {
 
@@ -364,102 +367,24 @@ std::optional<Status> Comm::iprobe(rank_t source, tag_t tag) const {
 // Communicator creation
 // ---------------------------------------------------------------------------
 
-namespace {
-/// (color, key, world rank) triple exchanged during split.
-struct SplitEntry {
-  int color;
-  int key;
-  rank_t world_rank;
-};
-}  // namespace
-
 Comm Comm::split(int color, int key) const {
-  // Count is rank-varying by design (color/key differ per member), so only
-  // op/root consistency is checked.
-  check_collective("split", -1, Checker::kUncheckedCount, 0);
-  const ScopedCheckOp op("split");
-  const TraceSpan span(state().job->tracer(), state().my_world(),
-                       TraceOp::collective, "split");
-  fault_point(KillPoint::before_split);
-  Comm result = split_impl(color, key);
-  fault_point(KillPoint::after_split);
-  return result;
-}
-
-Comm Comm::split_impl(int color, int key) const {
-  detail::CommState& st = state();
-  const tag_t tag = next_collective_tag();
-  const int n = static_cast<int>(st.to_global.size());
-  const rank_t my_world = st.my_world();
-
-  // Phase 1: local rank 0 gathers every member's (color, key).
-  // Phase 2: rank 0 allocates one fresh context (children are disjoint, so
-  //          they can share it) and sends each member its ordered group.
-  if (st.my_rank == 0) {
-    std::vector<SplitEntry> entries(static_cast<std::size_t>(n));
-    entries[0] = SplitEntry{color, key, my_world};
-    for (int r = 1; r < n; ++r) {
-      SplitEntry e{};
-      recv_raw(std::as_writable_bytes(std::span<SplitEntry>(&e, 1)), r, tag);
-      entries[static_cast<std::size_t>(r)] = e;
+  // One allgather of every member's (color, key); each member then knows
+  // its own group: the members of its colour, ordered by (key, parent
+  // rank), which stable_sort over parent order gives.
+  const std::array<int, 2> mine{color, key};
+  const std::vector<int> all = allgather(*this, std::span<const int>(mine));
+  std::vector<rank_t> members;
+  if (color != undefined) {
+    for (rank_t r = 0; r < size(); ++r) {
+      if (all[2 * static_cast<std::size_t>(r)] == color) members.push_back(r);
     }
-    const context_t child_context = st.job->allocate_context(my_world);
-
-    // Build each member's reply: [context, group size, ordered world ranks].
-    // A child group contains the members sharing that color, ordered by
-    // (key, parent rank); stable_sort over parent order gives the tiebreak.
-    auto build_reply = [&](int member) {
-      const SplitEntry& who = entries[static_cast<std::size_t>(member)];
-      std::vector<std::int32_t> reply;
-      if (who.color == undefined) {
-        reply = {static_cast<std::int32_t>(child_context), 0};
-        return reply;
-      }
-      std::vector<int> members;
-      for (int i = 0; i < n; ++i) {
-        if (entries[static_cast<std::size_t>(i)].color == who.color) {
-          members.push_back(i);
-        }
-      }
-      std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
-        return entries[static_cast<std::size_t>(a)].key <
-               entries[static_cast<std::size_t>(b)].key;
-      });
-      reply.reserve(members.size() + 2);
-      reply.push_back(static_cast<std::int32_t>(child_context));
-      reply.push_back(static_cast<std::int32_t>(members.size()));
-      for (int m : members) {
-        reply.push_back(static_cast<std::int32_t>(
-            entries[static_cast<std::size_t>(m)].world_rank));
-      }
-      return reply;
-    };
-
-    for (int r = 1; r < n; ++r) {
-      const std::vector<std::int32_t> reply = build_reply(r);
-      send_raw(std::as_bytes(std::span<const std::int32_t>(reply)), r, tag);
-    }
-    const std::vector<std::int32_t> mine = build_reply(0);
-    if (mine[1] == 0) return Comm{};
-    std::vector<rank_t> group(mine.begin() + 2, mine.end());
-    return from_group(st.job, child_context, std::move(group), my_world);
+    std::stable_sort(members.begin(), members.end(),
+                     [&all](rank_t a, rank_t b) {
+                       return all[2 * static_cast<std::size_t>(a) + 1] <
+                              all[2 * static_cast<std::size_t>(b) + 1];
+                     });
   }
-
-  // Non-root members.
-  const SplitEntry e{color, key, my_world};
-  send_raw(std::as_bytes(std::span<const SplitEntry>(&e, 1)), 0, tag);
-  auto [status, bytes] = recv_take_raw(0, tag);
-  (void)status;
-  const auto* data = reinterpret_cast<const std::int32_t*>(bytes.data());
-  const std::size_t count = bytes.size() / sizeof(std::int32_t);
-  if (count < 2) {
-    throw Error(Errc::internal, "malformed split reply");
-  }
-  const context_t ctx = static_cast<context_t>(data[0]);
-  const int group_size = data[1];
-  if (group_size == 0) return Comm{};
-  std::vector<rank_t> group(data + 2, data + 2 + group_size);
-  return from_group(st.job, ctx, std::move(group), my_world);
+  return split_known(members);
 }
 
 Comm Comm::split_known(std::span<const rank_t> members) const {

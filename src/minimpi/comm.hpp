@@ -7,13 +7,14 @@
 // receive on a communicator with the same context id.
 //
 // Creation calls (split/split_known/dup/create) are collective over the
-// parent.  split gathers every member's (color, key) with point-to-point
-// messages, as real MPI implementations bootstrap MPI_Comm_split.  When
-// every member already knows its own new group (split_known, and dup and
-// create, whose groups every member holds) no message is needed: each
-// member builds its handle locally and only the context id is agreed,
-// through the job (Job::agree_context), in the style of MPI-4's
-// MPI_Comm_create_from_group.
+// parent and share one construction: each member builds its handle from
+// its own new group and only the context id is agreed, through the job
+// (Job::agree_context) without a message, in the style of MPI-4's
+// MPI_Comm_create_from_group.  split_known, dup and create send nothing,
+// because every member already holds its group; split first allgathers
+// every member's (color, key) so that it can compute its group.
+// create_ordered_world, which only the listed ranks call, is the one
+// exception: its leader allocates the id and sends it to the others.
 #pragma once
 
 #include <cstring>
@@ -241,7 +242,8 @@ class Comm {
 
   /// MPI_Comm_split: ranks with equal `color` form a new communicator,
   /// ordered by (key, parent rank).  `color == undefined` yields a null
-  /// communicator for that rank.  Collective over this communicator.
+  /// communicator for that rank.  Collective over this communicator: one
+  /// allgather of (color, key), then a split_known of the group it gives.
   [[nodiscard]] Comm split(int color, int key) const;
 
   /// split for callers that already know their new group: each member
@@ -328,7 +330,6 @@ class Comm {
       : s_(std::move(state)) {}
 
   [[nodiscard]] detail::CommState& state() const;
-  [[nodiscard]] Comm split_impl(int color, int key) const;
   /// split_known, checked by mpicheck as collective `op_name` with `count`.
   [[nodiscard]] Comm split_known_as(const char* op_name, std::uint64_t count,
                                     std::span<const rank_t> members) const;

@@ -169,9 +169,9 @@ class Job {
   /// when that was 0).  All job-owned randomness derives from it.
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Allocate a fresh communicator context id (thread safe).  Exactly one
-  /// rank of a split or an ordered-world create allocates — `allocator` is
-  /// its world rank — and sends the id to the other members.
+  /// Allocate a fresh communicator context id (thread safe).  Called by
+  /// agree_context, and by the leader of an ordered-world create
+  /// (`allocator` is its world rank), which sends the id to the others.
   /// Under schedule verification each rank draws from its own disjoint id
   /// space, so context ids depend only on the allocating rank's program
   /// order, never on cross-rank allocation races: traces stay byte-
@@ -179,13 +179,13 @@ class Job {
   [[nodiscard]] context_t allocate_context(rank_t allocator) noexcept;
 
   /// Context id of a communicator that every member builds from a group it
-  /// already knows (Comm::split_known, dup, create), agreed without a
+  /// already knows (split, split_known, dup, create), agreed without a
   /// message.  Each of the parent's `parent_size` members asks once, with
   /// the key of the parent's mpicheck slot: its context, its group leader
   /// (the world rank of its local rank 0) and its collective sequence
-  /// number.  The first asker allocates one fresh id, which disjoint
-  /// children share as they do after a split; the entry is dropped when
-  /// the last member has asked.  Under schedule verification the id is a
+  /// number.  The first asker allocates one fresh id, which the disjoint
+  /// children of one split share; the entry is dropped when the last
+  /// member has asked.  Under schedule verification the id is a
   /// pure function of the key, so it cannot depend on which member asks
   /// first.  Those ids have bit 31 set, clear of the per-rank spaces above
   /// (jobs under 2047 ranks); two keys hashing to one id throw

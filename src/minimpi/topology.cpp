@@ -1,6 +1,7 @@
 #include "src/minimpi/topology.hpp"
 
 #include <numeric>
+#include <string>
 
 #include "src/minimpi/error.hpp"
 
@@ -83,28 +84,35 @@ std::vector<rank_t> Topology::ranks_on_node(int node) const {
   return ranks;
 }
 
-Comm split_by_node(const Comm& comm, const Topology& topology) {
+namespace {
+/// The members of `comm` whose `place` (node, or index within the node) is
+/// the caller's, in `comm` rank order.  Every member holds the same
+/// Topology and so knows its group: a split_known, with no message.
+Comm split_by_place(const Comm& comm, const Topology& topology, const char* op,
+                    int (Topology::*place)(rank_t) const) {
   if (topology.world_size() != comm.job().world_size()) {
     throw Error(Errc::invalid_argument,
-                "split_by_node: topology describes " +
+                std::string(op) + ": topology describes " +
                     std::to_string(topology.world_size()) +
                     " ranks but the job has " +
                     std::to_string(comm.job().world_size()));
   }
-  const rank_t my_world = comm.global_of(comm.rank());
-  return comm.split(topology.node_of(my_world), comm.rank());
+  const int mine = (topology.*place)(comm.global_of(comm.rank()));
+  std::vector<rank_t> members;
+  for (rank_t r = 0; r < comm.size(); ++r) {
+    if ((topology.*place)(comm.global_of(r)) == mine) members.push_back(r);
+  }
+  return comm.split_known(members);
+}
+}  // namespace
+
+Comm split_by_node(const Comm& comm, const Topology& topology) {
+  return split_by_place(comm, topology, "split_by_node", &Topology::node_of);
 }
 
 Comm split_across_nodes(const Comm& comm, const Topology& topology) {
-  if (topology.world_size() != comm.job().world_size()) {
-    throw Error(Errc::invalid_argument,
-                "split_across_nodes: topology describes " +
-                    std::to_string(topology.world_size()) +
-                    " ranks but the job has " +
-                    std::to_string(comm.job().world_size()));
-  }
-  const rank_t my_world = comm.global_of(comm.rank());
-  return comm.split(topology.cpu_of(my_world), comm.rank());
+  return split_by_place(comm, topology, "split_across_nodes",
+                        &Topology::cpu_of);
 }
 
 }  // namespace minimpi

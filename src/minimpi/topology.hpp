@@ -64,12 +64,15 @@ class Topology {
 
 /// Split a communicator into node-local sub-communicators under a
 /// topology: members of `comm` on the same node end up in one child,
-/// ordered by their rank in `comm`.  Collective over `comm`.
+/// ordered by their rank in `comm`.  Collective over `comm`; every member
+/// passes the same `topology`, from which each computes its own group, so
+/// no message is sent (Comm::split_known).
 [[nodiscard]] Comm split_by_node(const Comm& comm, const Topology& topology);
 
 /// The complementary split: one child per node-local index, i.e. a
 /// cross-node communicator of all "cpu k" ranks (useful for hierarchical
-/// collectives).  Collective over `comm`.
+/// collectives).  Collective over `comm`, with the same `topology` on every
+/// member; no message is sent.
 [[nodiscard]] Comm split_across_nodes(const Comm& comm,
                                       const Topology& topology);
 

@@ -130,8 +130,8 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
   const minimpi::TraceSpan phase(tracer, world.global_of(world.rank()),
                                  minimpi::TraceOp::phase, "handshake",
                                  minimpi::kPhaseHandshake);
-  // Record the handshake duration on every exit path (the fast path returns
-  // early) so the monitor's per-rank handshake_ns gauge is always set.
+  // Record the handshake duration on every exit path, a throw included, so
+  // the monitor's per-rank handshake_ns gauge is always set.
   struct HandshakeClock {
     minimpi::MetricsRegistry* metrics;
     const minimpi::JobClock& clock;
@@ -246,22 +246,8 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
                                       minimpi::kPhaseCommSetup);
   const std::vector<rank_t> run_ranks =
       rank_range(run.base, run.base + run.size - 1);
-  if (options.single_split_fast_path && registry.all_single_component()) {
-    // §6.1: one split of world with color = component id, whose group is
-    // the executable's run.
-    const int my_component =
-        result.directory.execs()[static_cast<std::size_t>(my_run)]
-            .component_ids.front();
-    Comm comp = world.split_known(run_ranks);
-    result.exec_comm = comp;
-    result.my_component_ids.push_back(my_component);
-    result.my_component_comms.push_back(std::move(comp));
-    MPH_DIAG_LOG(info) << "MPH handshake (fast path) done in "
-                       << handshake_clock.micros() << " us";
-    return result;
-  }
-
-  // General path: split world into executables first.
+  // Split world into executables first.  A single-component executable's
+  // run is its component, so for it this is §6.1's one split.
   result.exec_comm = world.split_known(run_ranks);
 
   const std::vector<int>& block_component_ids =

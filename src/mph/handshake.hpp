@@ -57,11 +57,6 @@ struct LivenessOptions {
 };
 
 struct HandshakeOptions {
-  /// Use the paper's §6.1 one-split fast path when every executable is
-  /// single-component.  Disabling forces the general §6.2 path (used by the
-  /// bench_handshake ablation).
-  bool single_split_fast_path = true;
-
   /// MIME member isolation: register each ensemble instance of a
   /// Multi_Instance block into its own failure domain
   /// (minimpi::Job::join_domain).  A rank failure inside one instance then

@@ -268,13 +268,6 @@ bool Registry::has_component(std::string_view name) const noexcept {
   return false;
 }
 
-bool Registry::all_single_component() const noexcept {
-  return std::all_of(blocks_.begin(), blocks_.end(),
-                     [](const ExecutableBlock& b) {
-                       return b.kind == BlockKind::single;
-                     });
-}
-
 std::string Registry::to_text(const std::vector<ExecutableBlock>& blocks) {
   std::ostringstream out;
   out << "BEGIN\n";

@@ -103,10 +103,6 @@ class Registry {
 
   [[nodiscard]] bool has_component(std::string_view name) const noexcept;
 
-  /// True when every executable is single-component — enables the paper's
-  /// §6.1 one-split fast path.
-  [[nodiscard]] bool all_single_component() const noexcept;
-
   /// Serialize back to registry-file text (stable round-trip: parse ∘
   /// to_text ∘ parse is the identity on the model).
   [[nodiscard]] std::string to_text() const { return to_text(blocks_); }

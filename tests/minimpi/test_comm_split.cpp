@@ -13,6 +13,7 @@
 
 #include "src/minimpi/collectives.hpp"
 #include "src/minimpi/comm.hpp"
+#include "src/minimpi/fault.hpp"
 #include "src/minimpi/launcher.hpp"
 #include "src/minimpi/verify/verify.hpp"
 
@@ -321,34 +322,59 @@ TEST(CommSplitKnown, DupAndCreateSendNoMessages) {
 TEST(CommSplitKnown, EarlySenderReachesLateBuilder) {
   // Rank 0 builds its handle and sends on it while rank 1 has not yet
   // built its own: the message waits in rank 1's mailbox under the agreed
-  // context and is received once rank 1 catches up.
-  std::atomic<bool> sent{false};
-  run_ok(2, [&](const Comm& world) {
-    const std::vector<rank_t> both{0, 1};
-    if (world.rank() == 0) {
-      const Comm sub = world.split_known(both);
-      sub.send(42, 1, 5);
-      const Comm copy = sub.dup();
-      copy.send(43, 1, 6);
-      sent.store(true, std::memory_order_release);
-      return;
-    }
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!sent.load(std::memory_order_acquire) &&
-           std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::yield();
-    }
-    ASSERT_TRUE(sent.load(std::memory_order_acquire))
-        << "rank 0 could not finish without rank 1";
-    const Comm sub = world.split_known(both);
-    const Comm copy = sub.dup();
-    int v = 0;
-    copy.recv(v, 0, 6);
-    EXPECT_EQ(v, 43);
-    sub.recv(v, 0, 5);
-    EXPECT_EQ(v, 42);
-  });
+  // context and is received once rank 1 catches up.  Both inputs build
+  // the pairs {0, 1} and {2, 3}.  With split_known, rank 1 starts only
+  // once rank 0 has sent.  split's allgather needs rank 1's block, so rank
+  // 1 enters at once and is held inside instead: at 4 ranks the Bruck
+  // exchange's last message to rank 1 comes from rank 3, and no other rank
+  // waits for it, so delaying it lets rank 0 finish first.
+  for (const bool known : {true, false}) {
+    SCOPED_TRACE(known ? "split_known" : "split");
+    std::atomic<bool> sent{false};
+    EnvelopeMatch last_to_1;
+    last_to_1.src = 3;
+    last_to_1.dest = 1;
+    JobOptions options;
+    options.recv_timeout = std::chrono::seconds(30);
+    options.faults.delay(last_to_1, std::chrono::milliseconds(500));
+    const JobReport report = run_spmd(
+        4,
+        [&](const Comm& world, const ExecEnv&) {
+          const rank_t r = world.rank();
+          if (known && r == 1) {
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!sent.load(std::memory_order_acquire) &&
+                   std::chrono::steady_clock::now() < give_up) {
+              std::this_thread::yield();
+            }
+            ASSERT_TRUE(sent.load(std::memory_order_acquire))
+                << "rank 0 could not finish without rank 1";
+          }
+          const std::vector<rank_t> pair{r / 2 * 2, r / 2 * 2 + 1};
+          const Comm sub =
+              known ? world.split_known(pair) : world.split(r / 2, r);
+          if (r == 0) {
+            sub.send(42, 1, 5);
+            const Comm copy = sub.dup();
+            copy.send(43, 1, 6);
+            sent.store(true, std::memory_order_release);
+            return;
+          }
+          const Comm copy = sub.dup();
+          if (r != 1) return;
+          EXPECT_TRUE(sent.load(std::memory_order_acquire))
+              << "rank 1 built its handle before rank 0 sent";
+          int v = 0;
+          copy.recv(v, 0, 6);
+          EXPECT_EQ(v, 43);
+          sub.recv(v, 0, 5);
+          EXPECT_EQ(v, 42);
+        },
+        options);
+    ASSERT_TRUE(report.ok) << report.abort_reason << " / "
+                           << report.first_error();
+  }
 }
 
 namespace {

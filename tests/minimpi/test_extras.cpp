@@ -171,10 +171,11 @@ TEST(CommStats, SplitAllocatesOneContext) {
       },
       options);
   ASSERT_TRUE(report.ok) << report.abort_reason;
-  // One split = one fresh context job-wide, plus the split's control
-  // messages (3 gathers + 3 replies at 4 ranks).
+  // One split = one fresh context job-wide, agreed without a message, plus
+  // the (color, key) allgather: a Bruck exchange of 2 rounds at 4 ranks,
+  // one message per rank per round.
   EXPECT_EQ(report.stats.contexts_allocated, 1u);
-  EXPECT_EQ(report.stats.messages, 6u);
+  EXPECT_EQ(report.stats.messages, 8u);
 }
 
 TEST(CommStats, QuietJobHasZeroTraffic) {

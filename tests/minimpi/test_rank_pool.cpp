@@ -166,6 +166,10 @@ TEST(RankPool, NestedJobInsideARankCompletes) {
       [&](const Comm& world, const ExecEnv&) {
         outer_ids[static_cast<std::size_t>(world.rank())] =
             std::this_thread::get_id();
+        // Both outer ranks hold their workers before any inner rank is
+        // dispatched; otherwise an inner rank could finish on a worker that
+        // the pool only then hands to a late outer rank.
+        barrier(world);
         const JobReport inner = run_spmd(
             3,
             [&](const Comm& inner_world, const ExecEnv&) {

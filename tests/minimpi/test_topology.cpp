@@ -115,6 +115,26 @@ TEST(SplitByNode, HierarchicalAllreduceMatchesFlat) {
   });
 }
 
+TEST(SplitByNode, TopologySplitsSendNoMessages) {
+  // Every member holds the topology, so both splits are known groups.
+  JobOptions options;
+  options.recv_timeout = std::chrono::seconds(30);
+  const JobReport report = run_spmd(
+      6,
+      [](const Comm& world, const ExecEnv&) {
+        const Topology t = Topology::uniform(6, 2);
+        const Comm node = split_by_node(world, t);
+        const Comm cross = split_across_nodes(world, t);
+        EXPECT_EQ(node.group(), t.ranks_on_node(t.node_of(world.rank())));
+        EXPECT_EQ(cross.size(), 3);
+        EXPECT_EQ(cross.rank(), world.rank() / 2);
+      },
+      options);
+  ASSERT_TRUE(report.ok) << report.first_error();
+  EXPECT_EQ(report.stats.messages, 0u);
+  EXPECT_EQ(report.stats.contexts_allocated, 2u);
+}
+
 TEST(SplitByNode, TopologyWorldSizeMustMatchJob) {
   run_ok(4, [](const Comm& world) {
     const Topology wrong = Topology::flat(3);

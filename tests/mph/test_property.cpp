@@ -5,7 +5,7 @@
 //   * every component communicator partitions (or, with overlap, covers)
 //     its executable;
 //   * joins order ranks exactly as §5.1 specifies, for random pairs;
-//   * fast path and general path produce identical layouts.
+//   * pure-SCME layouts (§6.1's one split) satisfy the same invariants.
 #include <gtest/gtest.h>
 
 #include "src/minimpi/collectives.hpp"
@@ -163,30 +163,21 @@ TEST_P(HandshakeProperty, RandomLayoutsSatisfyInvariants) {
 }
 
 TEST_P(HandshakeProperty, FastAndGeneralPathsAgreeOnRandomSCME) {
-  // Pure-SCME layouts run through both §6.1 and §6.2 code paths; the
-  // resulting layouts must be identical.
+  // Pure-SCME layouts: §6.1's one split is the general path's
+  // single-block case, and the resulting layouts satisfy every invariant.
   mph::util::Rng rng(5000 + static_cast<unsigned>(GetParam()));
   const int execs = static_cast<int>(rng.range(2, 6));
   std::string registry = "BEGIN\n";
-  std::vector<int> sizes;
+  std::vector<TestExec> job;
   for (int e = 0; e < execs; ++e) {
     registry += "c" + std::to_string(e) + "\n";
-    sizes.push_back(static_cast<int>(rng.range(1, 3)));
+    job.push_back(TestExec{{"c" + std::to_string(e)},
+                           "",
+                           static_cast<int>(rng.range(1, 3)),
+                           check_invariants});
   }
   registry += "END\n";
-
-  for (const bool fast : {true, false}) {
-    HandshakeOptions options;
-    options.single_split_fast_path = fast;
-    std::vector<TestExec> job;
-    for (int e = 0; e < execs; ++e) {
-      job.push_back(TestExec{{"c" + std::to_string(e)},
-                             "",
-                             sizes[static_cast<std::size_t>(e)],
-                             check_invariants});
-    }
-    run_mph_ok(registry, std::move(job), options);
-  }
+  run_mph_ok(registry, std::move(job));
 }
 
 TEST_P(HandshakeProperty, RandomEnsembleCarvings) {

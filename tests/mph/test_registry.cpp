@@ -24,7 +24,6 @@ END
 )");
   ASSERT_EQ(reg.num_executables(), 5);
   EXPECT_EQ(reg.total_components(), 5);
-  EXPECT_TRUE(reg.all_single_component());
   EXPECT_EQ(reg.blocks()[0].kind, BlockKind::single);
   EXPECT_EQ(reg.blocks()[0].components[0].name, "atmosphere");
   EXPECT_FALSE(reg.blocks()[0].components[0].has_range());
@@ -49,7 +48,6 @@ END
   EXPECT_EQ(block.components[1].name, "ocean");
   EXPECT_EQ(block.components[1].low, 16);
   EXPECT_EQ(block.components[1].high, 31);
-  EXPECT_FALSE(reg.all_single_component());
 }
 
 TEST(RegistryParse, PaperMCMEFileWithOverlapAndComments) {

@@ -101,45 +101,34 @@ TEST(SetupSCME, ComponentCommunicatorsAreDisjointAndUsable) {
 }
 
 TEST(SetupSCME, FastPathAndGeneralPathAgree) {
-  // §6.1 one-split fast path vs the general path must produce identical
-  // directories and communicator shapes.
-  for (const bool fast : {true, false}) {
-    HandshakeOptions options;
-    options.single_split_fast_path = fast;
-    run_mph_ok(kPaperRegistry,
-               {TestExec{{"atmosphere"}, "", 2,
-                         [](Mph& h, const Comm&) {
-                           EXPECT_EQ(h.comp_comm().size(), 2);
-                           EXPECT_EQ(h.exec_comm().size(), 2);
-                         }},
-                TestExec{{"ocean"}, "", 2, nullptr},
-                TestExec{{"land"}, "", 1, nullptr},
-                TestExec{{"ice"}, "", 1, nullptr},
-                TestExec{{"coupler"}, "", 1, nullptr}},
-               options);
-  }
+  // §6.1's one-split layout is the general path's single-block case: every
+  // executable's split-by-executable communicator is its component's.
+  run_mph_ok(kPaperRegistry,
+             {TestExec{{"atmosphere"}, "", 2,
+                       [](Mph& h, const Comm&) {
+                         EXPECT_EQ(h.comp_comm().size(), 2);
+                         EXPECT_EQ(h.exec_comm().size(), 2);
+                         EXPECT_TRUE(h.comp_comm().same_state(h.exec_comm()));
+                       }},
+              TestExec{{"ocean"}, "", 2, nullptr},
+              TestExec{{"land"}, "", 1, nullptr},
+              TestExec{{"ice"}, "", 1, nullptr},
+              TestExec{{"coupler"}, "", 1, nullptr}});
 }
 
 TEST(SetupSCME, HandshakeCostsExactlyOneSplitForPureSCME) {
   // §6.1 pinned deterministically: all-single-component applications are
-  // handshaken with exactly ONE comm_split (one fresh context job-wide) —
-  // on both the explicit fast path and the general path, whose
-  // split-by-executable IS the component split when every executable is
-  // single-component.
-  for (const bool fast : {true, false}) {
-    HandshakeOptions options;
-    options.single_split_fast_path = fast;
-    const minimpi::JobReport report = run_mph_job(
-        kPaperRegistry,
-        {TestExec{{"atmosphere"}, "", 1, nullptr},
-         TestExec{{"ocean"}, "", 1, nullptr},
-         TestExec{{"land"}, "", 1, nullptr},
-         TestExec{{"ice"}, "", 1, nullptr},
-         TestExec{{"coupler"}, "", 1, nullptr}},
-        options);
-    ASSERT_TRUE(report.ok) << report.abort_reason;
-    EXPECT_EQ(report.stats.contexts_allocated, 1u) << "fast=" << fast;
-  }
+  // handshaken with exactly ONE comm_split (one fresh context job-wide):
+  // the split-by-executable IS the component split when every executable
+  // is single-component.
+  const minimpi::JobReport report = run_mph_job(
+      kPaperRegistry, {TestExec{{"atmosphere"}, "", 1, nullptr},
+                       TestExec{{"ocean"}, "", 1, nullptr},
+                       TestExec{{"land"}, "", 1, nullptr},
+                       TestExec{{"ice"}, "", 1, nullptr},
+                       TestExec{{"coupler"}, "", 1, nullptr}});
+  ASSERT_TRUE(report.ok) << report.abort_reason;
+  EXPECT_EQ(report.stats.contexts_allocated, 1u);
 }
 
 TEST(SetupSCME, SplitCountScalesWithBlockStructure) {
